@@ -46,6 +46,7 @@ func (c *Controller) InstallRoutingOn(swID netsim.NodeID) error {
 	if !ok {
 		return fmt.Errorf("controller: no program registered for switch %d", swID)
 	}
+	prog.ReserveRoutes(len(c.fab.Plan.Hosts))
 	for _, h := range c.fab.Plan.Hosts {
 		nh, ok := c.fab.NextHop(swID, h)
 		if !ok {

@@ -348,6 +348,10 @@ func (p *Program) InstallRoute(dst uint32, port int) error {
 	})
 }
 
+// ReserveRoutes sizes an empty forwarding table for n routes ahead of a
+// bulk InstallRoute push, so the push does not rehash as the table grows.
+func (p *Program) ReserveRoutes(n int) { p.fwdTable.Reserve(n) }
+
 // ConfigureTree allocates the tree's registers and activates aggregation
 // for its tree ID. Allocation failures (SRAM exhausted) roll back cleanly.
 //

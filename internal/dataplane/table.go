@@ -78,6 +78,14 @@ func (t *Table) AddExact(key []byte, e Entry) error {
 	return nil
 }
 
+// Reserve presizes an empty exact-match table for n entries; a table that
+// already holds entries keeps its storage.
+func (t *Table) Reserve(n int) {
+	if len(t.exact) == 0 && n > 0 {
+		t.exact = make(map[string]Entry, n)
+	}
+}
+
 // DeleteExact removes an exact-match entry if present.
 func (t *Table) DeleteExact(key []byte) {
 	delete(t.exact, string(key))

@@ -66,6 +66,25 @@ func TestSetLinkStateDropsAndRevives(t *testing.T) {
 	}
 }
 
+// TestTotalStatsCountsDropsDown: a frame discarded on a downed link is
+// part of the fabric-wide totals, not only of its port's stats.
+func TestTotalStatsCountsDropsDown(t *testing.T) {
+	nw := New(1)
+	nw.AddNode(1, &sink{})
+	nw.AddNode(2, &sink{})
+	nw.Connect(1, 2, LinkConfig{})
+	if err := nw.SetLinkState(1, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	nw.Send(1, 0, make([]byte, 64))
+	if err := nw.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if tot := nw.TotalStats(); tot.DropsDown != 1 || tot.TxFrames != 0 {
+		t.Fatalf("TotalStats %+v, want DropsDown 1 and no transmissions", tot)
+	}
+}
+
 func TestLinkDownLeavesInFlightFrames(t *testing.T) {
 	nw := New(1)
 	a, b := &sink{}, &sink{}

@@ -78,7 +78,10 @@ type halfLink struct {
 	busyTill Time // when the transmitter finishes its current backlog
 	queued   int  // bytes accepted but not yet fully serialized
 	stats    LinkStats
-	rng      *rand.Rand
+	// rng is the half-link's loss stream, seeded from rngSeed on the first
+	// loss draw: most links are loss-free and never need its 5 KB source.
+	rng     *rand.Rand
+	rngSeed int64
 
 	// down marks the direction administratively failed (fault injection):
 	// frames sent while down are counted and discarded. Frames already
@@ -160,6 +163,15 @@ func (hl *halfLink) drainTo(now Time) {
 		hl.queued -= hl.inflight.front().size
 		hl.inflight.popFront()
 	}
+}
+
+// lossDraw returns the next uniform draw of the half-link's loss stream,
+// seeding the stream on first use.
+func (hl *halfLink) lossDraw() float64 {
+	if hl.rng == nil {
+		hl.rng = rand.New(rand.NewSource(hl.rngSeed))
+	}
+	return hl.rng.Float64()
 }
 
 // Port names one endpoint of a link from a node's point of view.
@@ -281,18 +293,17 @@ func (nw *Network) Connect(a, b NodeID, cfg LinkConfig) (aPort, bPort int) {
 	cfg = cfg.withDefaults()
 	aPort = len(nw.ports[a])
 	bPort = len(nw.ports[b])
-	// Derive independent, deterministic RNG streams per half-link.
-	mk := func(salt uint64) *rand.Rand {
-		return rand.New(rand.NewSource(int64(hashing.Mix64(nw.seed ^ salt))))
-	}
+	// Derive independent, deterministic loss-stream seeds per half-link; the
+	// streams themselves are built on first draw (see lossDraw).
+	seed := func(salt uint64) int64 { return int64(hashing.Mix64(nw.seed ^ salt)) }
 	ab := &halfLink{cfg: cfg, srcNode: a, dstNode: b, dstPort: bPort,
-		dst: nw.nodes[b],
-		key: halfLinkKeyBase | uint64(len(nw.half)),
-		rng: mk(uint64(a)<<32 | uint64(b)<<8 | uint64(aPort))}
+		dst:     nw.nodes[b],
+		key:     halfLinkKeyBase | uint64(len(nw.half)),
+		rngSeed: seed(uint64(a)<<32 | uint64(b)<<8 | uint64(aPort))}
 	ba := &halfLink{cfg: cfg, srcNode: b, dstNode: a, dstPort: aPort,
-		dst: nw.nodes[a],
-		key: halfLinkKeyBase | uint64(len(nw.half)+1),
-		rng: mk(uint64(b)<<32 | uint64(a)<<8 | uint64(bPort) | 1<<63)}
+		dst:     nw.nodes[a],
+		key:     halfLinkKeyBase | uint64(len(nw.half)+1),
+		rngSeed: seed(uint64(b)<<32 | uint64(a)<<8 | uint64(bPort) | 1<<63)}
 	// Ports born after SetNodePool join the node's pool, each carving its
 	// own reserve slot; an over-committed carve is a configuration error.
 	nw.joinPool(a, ab)
@@ -396,7 +407,7 @@ func (nw *Network) send(hl *halfLink, class int, frame []byte) {
 		}
 		return
 	}
-	if hl.cfg.LossProb > 0 && hl.rng.Float64() < hl.cfg.LossProb {
+	if hl.cfg.LossProb > 0 && hl.lossDraw() < hl.cfg.LossProb {
 		hl.stats.DropsLoss++
 		if nw.tracer != nil {
 			nw.traceFrame(hl, class, size, now, FrameDropLoss, frame)
@@ -607,6 +618,7 @@ func (nw *Network) TotalStats() LinkStats {
 		t.DropsFull += hl.stats.DropsFull
 		t.DropsPool += hl.stats.DropsPool
 		t.DropsLoss += hl.stats.DropsLoss
+		t.DropsDown += hl.stats.DropsDown
 	}
 	return t
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -522,18 +523,22 @@ type Fabric struct {
 	Plan *Plan
 	Net  *netsim.Network
 	adj  map[netsim.NodeID][]Edge
-	// bfs memoizes per-destination predecessor maps (next hop toward dst).
-	bfs map[netsim.NodeID]map[netsim.NodeID]netsim.NodeID
-	// Dense mirror of the graph, built once in Realize. Routing install at
-	// fabric scale (megaincast: one BFS per host over a thousand nodes) is
-	// map-bound, so the empty-avoid path — every InstallRouting and tree
-	// plan — runs on slice-indexed adjacency instead. Next-hop choices are
+	// Dense mirror of the graph, built once in Realize, for the empty-avoid
+	// routing path every InstallRouting and tree plan takes. Routing from
+	// it costs what the fabric uses: one BFS per distinct attachment set
+	// (megaincast: 17 leaves, not 1,088 hosts), and each next-hop query
+	// scans only the asking node's switch neighbours. Next-hop choices are
 	// identical to the map BFS: candidate order is the per-node edge order
 	// either way, and the ECMP pick hashes (node, dst) IDs only.
-	ids  []netsim.NodeID                   // dense index -> node ID
-	idx  map[netsim.NodeID]int32           // node ID -> dense index
-	dadj [][]int32                         // dense adjacency, same edge order as adj
-	nh   map[netsim.NodeID][]netsim.NodeID // per-dst dense next hops (0 = unreachable)
+	ids  []netsim.NodeID         // dense index -> node ID
+	idx  map[netsim.NodeID]int32 // node ID -> dense index
+	dadj [][]int32               // dense adjacency, same edge order as adj
+	sadj [][]int32               // dadj restricted to switch peers: the transit next hops
+	// dist[i] is the memoized hop-distance vector toward node i (see
+	// distTo), nil until first asked; hosts with the same attachment set
+	// share one vector through distBy, keyed by the BFS source set.
+	dist   [][]int32
+	distBy map[string][]int32
 }
 
 // Realize adds every planned node to nw (switches via mkSwitch, hosts via
@@ -542,10 +547,10 @@ func (p *Plan) Realize(nw *netsim.Network,
 	mkSwitch, mkHost func(netsim.NodeID) netsim.Node) *Fabric {
 
 	f := &Fabric{
-		Plan: p,
-		Net:  nw,
-		adj:  make(map[netsim.NodeID][]Edge),
-		bfs:  make(map[netsim.NodeID]map[netsim.NodeID]netsim.NodeID),
+		Plan:   p,
+		Net:    nw,
+		adj:    make(map[netsim.NodeID][]Edge),
+		distBy: make(map[string][]int32),
 	}
 	for _, id := range p.Switches {
 		nw.AddNode(id, mkSwitch(id))
@@ -560,20 +565,25 @@ func (p *Plan) Realize(nw *netsim.Network,
 	}
 	// Dense graph mirror for the routing fast path: switches then hosts,
 	// edges in the same order as adj.
-	f.idx = make(map[netsim.NodeID]int32, len(p.Switches)+len(p.Hosts))
-	f.nh = make(map[netsim.NodeID][]netsim.NodeID)
-	for _, id := range append(append([]netsim.NodeID(nil), p.Switches...), p.Hosts...) {
-		f.idx[id] = int32(len(f.ids))
-		f.ids = append(f.ids, id)
+	f.ids = append(append(make([]netsim.NodeID, 0, len(p.Switches)+len(p.Hosts)), p.Switches...), p.Hosts...)
+	f.idx = make(map[netsim.NodeID]int32, len(f.ids))
+	for i, id := range f.ids {
+		f.idx[id] = int32(i)
 	}
 	f.dadj = make([][]int32, len(f.ids))
+	f.sadj = make([][]int32, len(f.ids))
+	f.dist = make([][]int32, len(f.ids))
 	for i, id := range f.ids {
 		for _, e := range f.adj[id] {
-			f.dadj[i] = append(f.dadj[i], f.idx[e.Peer])
+			peer := f.idx[e.Peer]
+			f.dadj[i] = append(f.dadj[i], peer)
+			if IsSwitchID(e.Peer) {
+				f.sadj[i] = append(f.sadj[i], peer)
+			}
 		}
 	}
 	installed := 0
-	for _, id := range append(append([]netsim.NodeID(nil), p.Switches...), p.Hosts...) {
+	for _, id := range f.ids {
 		if cfg, ok := p.Pools[id]; ok {
 			if err := nw.SetNodePool(id, cfg); err != nil {
 				panic(fmt.Sprintf("topology: installing pool on node %d: %v", id, err))
@@ -645,30 +655,15 @@ func (a *Avoid) link(x, y netsim.NodeID) bool {
 }
 
 // nextHopMap computes, via reverse BFS from dst, the next hop toward dst
-// from every reachable node, excluding everything in avoid. When several
-// equal-cost next hops exist, one is chosen by hashing (node, dst) —
-// ECMP-style spreading, so different destinations' aggregation trees use
-// different spines while every single destination still gets one
-// deterministic loop-free tree (the property the paper's correctness
-// argument needs). Results are memoized per destination for the empty
-// avoid set only: failover queries see the fabric's current failures, so
-// they recompute each time.
+// from every reachable node, excluding everything in avoid — the failover
+// path: queries see the fabric's current failures, so they recompute each
+// time. When several equal-cost next hops exist, one is chosen by hashing
+// (node, dst) — ECMP-style spreading, so different destinations'
+// aggregation trees use different spines while every single destination
+// still gets one deterministic loop-free tree (the property the paper's
+// correctness argument needs). The empty avoid set takes the dense query
+// (nextHop) instead, which makes the same choices.
 func (f *Fabric) nextHopMap(dst netsim.NodeID, avoid *Avoid) map[netsim.NodeID]netsim.NodeID {
-	if avoid.empty() {
-		// Fast path: materialize the memoized map from the dense BFS.
-		if m, ok := f.bfs[dst]; ok {
-			return m
-		}
-		dn := f.nextHopDense(dst)
-		m := map[netsim.NodeID]netsim.NodeID{dst: dst}
-		for i, nh := range dn {
-			if nh != 0 {
-				m[f.ids[i]] = nh
-			}
-		}
-		f.bfs[dst] = m
-		return m
-	}
 	next := map[netsim.NodeID]netsim.NodeID{dst: dst}
 	if avoid.node(dst) {
 		return next
@@ -722,90 +717,133 @@ func (f *Fabric) nextHopMap(dst netsim.NodeID, avoid *Avoid) map[netsim.NodeID]n
 	return next
 }
 
-// nextHopDense is nextHopMap's empty-avoid fast path on the dense graph
-// mirror: one slice-indexed BFS per destination, memoized. Entry i is the
-// next hop from f.ids[i] toward dst, or 0 (never a valid NodeID) when
-// unreachable. Candidate order and the ECMP pick match the map BFS
-// exactly, so the chosen routes are identical.
-func (f *Fabric) nextHopDense(dst netsim.NodeID) []netsim.NodeID {
-	if dn, ok := f.nh[dst]; ok {
-		return dn
+// distTo returns the memoized hop-distance vector toward dense node di, or
+// nil when nothing can reach it. For a switch the vector is a BFS from the
+// switch itself: entry x is x's distance to it. For a host it is a
+// multi-source BFS from the host's neighbours, so entry x is one less than
+// x's distance to the host (the host's own entry is not its distance, 0).
+// Hosts never transit, so that equals a BFS from the host — and every host
+// with the same attachment set (every host of a rack) shares one vector,
+// as does the rack's leaf switch.
+func (f *Fabric) distTo(di int32) []int32 {
+	if v := f.dist[di]; v != nil {
+		return v
 	}
-	n := len(f.ids)
-	next := make([]netsim.NodeID, n)
-	di, known := f.idx[dst]
-	if !known {
-		f.nh[dst] = next
-		return next
+	seeds := []int32{di}
+	if !IsSwitchID(f.ids[di]) {
+		seeds = slices.Compact(slices.Sorted(slices.Values(f.dadj[di])))
+		if len(seeds) == 0 {
+			return nil
+		}
 	}
-	// Pass 1: BFS distances from dst (traffic never transits hosts).
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
+	key := make([]byte, 0, 4*len(seeds))
+	for _, s := range seeds {
+		key = binary.LittleEndian.AppendUint32(key, uint32(s))
 	}
-	dist[di] = 0
-	queue := make([]int32, 0, n)
-	queue = append(queue, di)
-	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
-		if !IsSwitchID(f.ids[cur]) && cur != di {
-			continue // hosts are leaves of the BFS
+	v, ok := f.distBy[string(key)]
+	if !ok {
+		v = f.bfs(seeds)
+		f.distBy[string(key)] = v
+	}
+	f.dist[di] = v
+	return v
+}
+
+// bfs returns hop distances from the seed set over the dense graph, -1
+// where unreachable. Only switches are expanded: hosts are leaves.
+func (f *Fabric) bfs(seeds []int32) []int32 {
+	v := make([]int32, len(f.ids))
+	for i := range v {
+		v[i] = -1
+	}
+	q := make([]int32, 0, len(v))
+	for _, s := range seeds {
+		v[s] = 0
+		q = append(q, s)
+	}
+	for qi := 0; qi < len(q); qi++ {
+		cur := q[qi]
+		if !IsSwitchID(f.ids[cur]) {
+			continue
 		}
 		for _, peer := range f.dadj[cur] {
-			if dist[peer] < 0 {
-				dist[peer] = dist[cur] + 1
-				queue = append(queue, peer)
+			if v[peer] < 0 {
+				v[peer] = v[cur] + 1
+				q = append(q, peer)
 			}
 		}
 	}
-	// Pass 2: per node, collect all equal-cost next hops and hash-pick.
+	return v
+}
+
+// nextHop is the empty-avoid next-hop query between dense nodes fi != di.
+// A node one hop from dst has dst as its only candidate. Otherwise the
+// candidates are fi's switch neighbours one hop closer — in the distance
+// vector, one less than fi's entry, whatever dst's kind; the BFS reached fi
+// from one of them, so there is at least one — and the ECMP hash is taken
+// only when there are two or more (ECMPPick(key, 1) is 0 for every key, so
+// a lone candidate is the same choice).
+func (f *Fabric) nextHop(fi, di int32) (netsim.NodeID, bool) {
+	v := f.distTo(di)
+	if v == nil || v[fi] < 0 {
+		return 0, false
+	}
+	d := v[fi]
+	hops := d
+	if !IsSwitchID(f.ids[di]) {
+		hops++ // host vectors count from the host's neighbours
+	}
+	if hops == 1 {
+		return f.ids[di], true
+	}
+	n, first := 0, int32(0)
+	for _, peer := range f.sadj[fi] {
+		if v[peer] == d-1 {
+			if n == 0 {
+				first = peer
+			}
+			n++
+		}
+	}
+	if n == 1 {
+		return f.ids[first], true
+	}
 	var key [8]byte
-	var candidates []netsim.NodeID
-	for node := int32(0); node < int32(n); node++ {
-		d := dist[node]
-		if d <= 0 {
-			continue // unreached, or dst itself
-		}
-		candidates = candidates[:0]
-		for _, peer := range f.dadj[node] {
-			if dist[peer] == d-1 {
-				// The next hop must be able to carry transit traffic (be a
-				// switch) unless it is the destination itself.
-				if peerID := f.ids[peer]; IsSwitchID(peerID) || peerID == dst {
-					candidates = append(candidates, peerID)
-				}
+	binary.BigEndian.PutUint32(key[0:4], uint32(f.ids[fi]))
+	binary.BigEndian.PutUint32(key[4:8], uint32(f.ids[di]))
+	k := hashing.ECMPPick(key[:], n)
+	for _, peer := range f.sadj[fi] {
+		if v[peer] == d-1 {
+			if k == 0 {
+				return f.ids[peer], true
 			}
+			k--
 		}
-		if len(candidates) == 0 {
-			continue // unreachable through valid transit
-		}
-		binary.BigEndian.PutUint32(key[0:4], uint32(f.ids[node]))
-		binary.BigEndian.PutUint32(key[4:8], uint32(dst))
-		next[node] = candidates[hashing.ECMPPick(key[:], len(candidates))]
 	}
-	f.nh[dst] = next
-	return next
+	panic("topology: ECMP pick outside its candidate set")
 }
 
 // NextHop returns the neighbor `from` should forward to in order to reach
 // dst along a shortest path, and whether dst is reachable.
 func (f *Fabric) NextHop(from, dst netsim.NodeID) (netsim.NodeID, bool) {
-	return f.NextHopAvoiding(from, dst, nil)
+	if from == dst {
+		return dst, true
+	}
+	fi, ok := f.idx[from]
+	if !ok {
+		return 0, false
+	}
+	di, ok := f.idx[dst]
+	if !ok {
+		return 0, false
+	}
+	return f.nextHop(fi, di)
 }
 
 // NextHopAvoiding is NextHop over the fabric minus the avoid set.
 func (f *Fabric) NextHopAvoiding(from, dst netsim.NodeID, avoid *Avoid) (netsim.NodeID, bool) {
-	if from == dst {
-		return dst, true
-	}
-	if avoid.empty() {
-		// Dense lookup: no per-query map materialization.
-		fi, ok := f.idx[from]
-		if !ok {
-			return 0, false
-		}
-		nh := f.nextHopDense(dst)[fi]
-		return nh, nh != 0
+	if from == dst || avoid.empty() {
+		return f.NextHop(from, dst)
 	}
 	nh, ok := f.nextHopMap(dst, avoid)[from]
 	return nh, ok
@@ -817,7 +855,16 @@ func (f *Fabric) NextHopAvoiding(from, dst netsim.NodeID, avoid *Avoid) (netsim.
 // this instead of one PathAvoiding BFS per mapper: the map is O(V+E) to
 // build and answers every membership query for free.
 func (f *Fabric) NextHopsAvoiding(dst netsim.NodeID, avoid *Avoid) map[netsim.NodeID]netsim.NodeID {
-	return f.nextHopMap(dst, avoid)
+	if !avoid.empty() {
+		return f.nextHopMap(dst, avoid)
+	}
+	next := map[netsim.NodeID]netsim.NodeID{dst: dst}
+	for _, id := range f.ids {
+		if nh, ok := f.NextHop(id, dst); ok {
+			next[id] = nh
+		}
+	}
+	return next
 }
 
 // Path returns the node sequence from src to dst inclusive, or nil when
@@ -834,17 +881,24 @@ func (f *Fabric) PathAvoiding(src, dst netsim.NodeID, avoid *Avoid) []netsim.Nod
 	if avoid.node(src) {
 		return nil
 	}
-	m := f.nextHopMap(dst, avoid)
-	if _, ok := m[src]; !ok {
-		return nil
+	next := f.NextHop
+	if !avoid.empty() {
+		m := f.nextHopMap(dst, avoid)
+		next = func(from, _ netsim.NodeID) (netsim.NodeID, bool) {
+			nh, ok := m[from]
+			return nh, ok
+		}
 	}
 	path := []netsim.NodeID{src}
-	cur := src
-	for cur != dst {
-		cur = m[cur]
+	for cur := src; cur != dst; {
+		nh, ok := next(cur, dst)
+		if !ok {
+			return nil
+		}
+		cur = nh
 		path = append(path, cur)
 		if len(path) > len(f.adj)+1 {
-			// Defensive: a cycle here would mean nextHopMap is broken.
+			// Defensive: a cycle here would mean the next-hop choice is broken.
 			panic("topology: path longer than node count")
 		}
 	}
