@@ -19,18 +19,12 @@
 // worker-pool degree (0 = GOMAXPROCS, 1 = sequential) and -sim-workers the
 // intra-simulation partition degree (event-engine domains per fabric;
 // "auto" lets every fabric pick min(rack-cut units, GOMAXPROCS)) — results
-// are identical at any combination. -json writes machine-readable
-// per-figure wall-clock and headline metrics (with CI bounds) to the -out
-// path (default BENCH_results.json) so the performance trajectory is
-// tracked across changes; CI diffs it against the committed baseline via
-// cmd/benchdiff and uploads a parallel-vs-sequential comparison.
+// are identical at any combination.
 //
 // -telemetry <dir> additionally replays every registered timeline spec
-// (internal/experiments.TimelineSpecs) with the sim-time recorder attached,
-// writes each timeline as <dir>/<name>_timeline.txt (render with
-// cmd/daiet-trace), and appends a "<name>_telemetry" figure record to the
-// -json report whose AllocsPerFrame measures the telemetry-ON allocation
-// budget — CI gates it with cmd/benchdiff -gate-allocs.
+// (internal/experiments.TimelineSpecs) with the sim-time recorder attached
+// and writes each timeline as <dir>/<name>_timeline.txt (render with
+// cmd/daiet-trace).
 //
 // -cpuprofile, -memprofile and -exectrace write standard runtime/pprof and
 // runtime/trace captures of the whole run for go tool pprof / go tool
@@ -39,7 +33,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -51,16 +44,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
-	"github.com/daiet/daiet/internal/benchfmt"
 	"github.com/daiet/daiet/internal/experiments"
-	"github.com/daiet/daiet/internal/netsim"
 	"github.com/daiet/daiet/internal/runner"
 )
-
-// defaultJSONPath is where -json writes the machine-readable report.
-const defaultJSONPath = "BENCH_results.json"
 
 var (
 	experiment = flag.String("experiment", "all", "registry name of the figure to run, or \"all\"")
@@ -69,8 +56,6 @@ var (
 	scale      = flag.Float64("scale", 1.0, "problem-size multiplier (1 = paper scale)")
 	parallel   = flag.Int("parallel", 0, "experiment-runner parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	simWorkers = flag.String("sim-workers", "1", "intra-simulation parallelism: event-engine domains per fabric, or \"auto\" for min(rack-cut units, GOMAXPROCS) per fabric (results identical at any value)")
-	jsonOut    = flag.Bool("json", false, "write per-figure wall-clock and headline metrics to the -out path")
-	outPath    = flag.String("out", defaultJSONPath, "path for the -json report")
 	telemetry  = flag.String("telemetry", "", "directory for recorded fabric timelines (<name>_timeline.txt per timeline spec); empty disables recording")
 	cpuProfile = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the whole run to this path")
 	memProfile = flag.String("memprofile", "", "write a runtime/pprof heap profile (after the run) to this path")
@@ -155,27 +140,9 @@ func run() error {
 	}
 
 	// Each shard renders into its own buffer so interleaved execution still
-	// prints in canonical (registry) order. Per-figure wall-clock is
-	// measured inside the shard: concurrent figures contend for cores, so
-	// sharded readings are upper bounds; -parallel 1 gives clean times.
-	type outcome struct {
-		out []byte
-		rec benchfmt.FigureRecord
-	}
-	start := time.Now()
-	results, err := runner.Map(len(specs), *parallel, func(shard int) (outcome, error) {
-		spec := specs[shard]
-		// Engine-scale accounting (schema 6): simulator event/frame counts
-		// and heap allocations across the whole figure, from process-wide
-		// counters. Exact at -parallel 1 (how CI generates the report);
-		// under concurrent figures the deltas interleave and are only an
-		// aggregate indication.
-		var m0, m1 runtime.MemStats
-		ev0, fr0 := netsim.SimCounters()
-		sb0, sw0, si0 := netsim.SyncCounters()
-		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
-		res, err := spec.Execute(experiments.RunConfig{
+	// prints in canonical (registry) order.
+	tables, err := runner.Map(len(specs), *parallel, func(shard int) ([]byte, error) {
+		res, err := specs[shard].Execute(experiments.RunConfig{
 			Seed:        *seed,
 			Seeds:       *seeds,
 			Scale:       *scale,
@@ -183,73 +150,23 @@ func run() error {
 			SimWorkers:  simW,
 		})
 		if err != nil {
-			return outcome{}, err
+			return nil, err
 		}
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&m1)
-		ev1, fr1 := netsim.SimCounters()
-		sb1, sw1, si1 := netsim.SyncCounters()
 		var buf bytes.Buffer
 		res.WriteTable(&buf)
-		rec := benchfmt.FigureRecord{
-			Name:            spec.Name,
-			WallMS:          float64(wall.Microseconds()) / 1000,
-			Seeds:           res.Seeds,
-			Volatile:        spec.Volatile,
-			Metrics:         res.Headline(),
-			EventsTotal:     ev1 - ev0,
-			SyncBarriers:    sb1 - sb0,
-			SyncWindows:     sw1 - sw0,
-			SyncIdleWindows: si1 - si0,
-		}
-		if s := wall.Seconds(); s > 0 {
-			rec.EventsPerSec = float64(rec.EventsTotal) / s
-		}
-		if frames := fr1 - fr0; frames > 0 {
-			rec.AllocsPerFrame = float64(m1.Mallocs-m0.Mallocs) / float64(frames)
-		}
-		return outcome{out: buf.Bytes(), rec: rec}, nil
+		return buf.Bytes(), nil
 	})
 	if err != nil {
 		return err
 	}
-	totalMS := float64(time.Since(start).Microseconds()) / 1000
-
-	report := benchfmt.Report{
-		Schema:      benchfmt.Schema,
-		Seed:        *seed,
-		Seeds:       *seeds,
-		Scale:       *scale,
-		Parallelism: runner.Degree(*parallel),
-		SimWorkers:  simW,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		TotalWallMS: totalMS,
-	}
-	for _, r := range results {
-		os.Stdout.Write(r.out)
-		report.Figures = append(report.Figures, r.rec)
+	for _, table := range tables {
+		os.Stdout.Write(table)
 	}
 
 	if *telemetry != "" {
-		recs, err := recordTimelines(*telemetry, simW)
-		if err != nil {
+		if err := recordTimelines(*telemetry, simW); err != nil {
 			return err
 		}
-		report.Figures = append(report.Figures, recs...)
-	}
-
-	fmt.Printf("\ntotal wall clock: %.1f ms (parallelism %d, %d seeds/point)\n",
-		totalMS, report.Parallelism, *seeds)
-
-	if *jsonOut {
-		blob, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*outPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *outPath)
 	}
 
 	if *memProfile != "" {
@@ -267,62 +184,30 @@ func run() error {
 }
 
 // recordTimelines replays every registered timeline spec with the
-// recorder attached, writes <dir>/<name>_timeline.txt, and returns one
-// "<name>_telemetry" figure record per spec. The runs execute
-// sequentially so the process-wide counters yield an exact telemetry-ON
-// allocs-per-frame reading for the -gate-allocs budget.
-func recordTimelines(dir string, simW int) ([]benchfmt.FigureRecord, error) {
+// recorder attached and writes <dir>/<name>_timeline.txt.
+func recordTimelines(dir string, simW int) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("-telemetry: %w", err)
+		return fmt.Errorf("-telemetry: %w", err)
 	}
-	var recs []benchfmt.FigureRecord
 	for _, spec := range experiments.TimelineSpecs() {
-		var m0, m1 runtime.MemStats
-		ev0, fr0 := netsim.SimCounters()
-		sb0, sw0, si0 := netsim.SyncCounters()
-		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
 		tl, err := spec.Run(experiments.Trial{Seed: *seed, Scale: *scale, SimWorkers: simW})
 		if err != nil {
-			return nil, fmt.Errorf("timeline %s: %w", spec.Name, err)
+			return fmt.Errorf("timeline %s: %w", spec.Name, err)
 		}
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&m1)
-		ev1, fr1 := netsim.SimCounters()
-		sb1, sw1, si1 := netsim.SyncCounters()
-
 		path := filepath.Join(dir, spec.Name+"_timeline.txt")
 		f, err := os.Create(path)
 		if err != nil {
-			return nil, fmt.Errorf("timeline %s: %w", spec.Name, err)
+			return fmt.Errorf("timeline %s: %w", spec.Name, err)
 		}
 		if _, err := tl.WriteTo(f); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("timeline %s: %w", spec.Name, err)
+			return fmt.Errorf("timeline %s: %w", spec.Name, err)
 		}
 		if err := f.Close(); err != nil {
-			return nil, fmt.Errorf("timeline %s: %w", spec.Name, err)
+			return fmt.Errorf("timeline %s: %w", spec.Name, err)
 		}
 		fmt.Printf("recorded %s (%d records, %d engine samples)\n",
 			path, len(tl.Records), len(tl.Engine))
-
-		rec := benchfmt.FigureRecord{
-			Name:            spec.Name + "_telemetry",
-			WallMS:          float64(wall.Microseconds()) / 1000,
-			Seeds:           1,
-			EventsTotal:     ev1 - ev0,
-			SyncBarriers:    sb1 - sb0,
-			SyncWindows:     sw1 - sw0,
-			SyncIdleWindows: si1 - si0,
-			Telemetry:       true,
-		}
-		if s := wall.Seconds(); s > 0 {
-			rec.EventsPerSec = float64(rec.EventsTotal) / s
-		}
-		if frames := fr1 - fr0; frames > 0 {
-			rec.AllocsPerFrame = float64(m1.Mallocs-m0.Mallocs) / float64(frames)
-		}
-		recs = append(recs, rec)
 	}
-	return recs, nil
+	return nil
 }

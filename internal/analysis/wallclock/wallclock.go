@@ -4,12 +4,10 @@
 // time.Now and friends leak wall time into that closed world.
 //
 // Scope: every package under an internal/ path segment, except the
-// declared wall-time packages (the experiment runner and bench formatter,
-// which measure real elapsed time as volatile metrics, and the real-socket
-// UDP runtime, whose deadlines are genuinely wall-clock). A measurement
-// site inside a sim package must either route through an injected clock or
-// carry a //simlint:wallclock <reason> annotation naming the volatile
-// metric it feeds.
+// real-socket UDP runtime, whose deadlines are genuinely wall-clock. A
+// measurement site inside a sim package must either route through an
+// injected clock or carry a //simlint:wallclock <reason> annotation naming
+// the volatile metric it feeds.
 package wallclock
 
 import (
@@ -23,9 +21,7 @@ import (
 // allowedPackages are the import-path segments (package directory names)
 // where wall-clock access is the package's declared business.
 var allowedPackages = []string{
-	"runner",   // measures real wall time per trial (volatile wall_ms metrics)
-	"benchfmt", // formats those wall-time measurements
-	"udprt",    // real UDP sockets: OS deadlines are wall time by nature
+	"udprt", // real UDP sockets: OS deadlines are wall time by nature
 }
 
 // banned are the time-package identifiers that read or wait on the real

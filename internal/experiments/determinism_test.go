@@ -106,28 +106,21 @@ func TestAblationsDeterministic(t *testing.T) {
 }
 
 // TestSpecEngineDeterministic extends the contract to the sweep engine:
-// every registered figure, executed through Spec.Execute, must produce
-// identical results (up to declared Volatile metrics) at any parallelism
-// degree. This covers the figures' own inner fan-out too, since the specs
-// pin it to 1 and put all parallelism in the grid.
+// every registered figure, executed through Spec.Execute at any
+// parallelism degree with per-fabric autotuned domains, must match its
+// golden section (up to declared Volatile metrics). This covers the
+// figures' own inner fan-out too, since the specs pin it to 1 and put all
+// parallelism in the grid.
 func TestSpecEngineDeterministic(t *testing.T) {
 	for _, spec := range Specs() {
-		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg := RunConfig{Seed: 7, Seeds: 2, Scale: 0.08, Parallelism: 1}
-			res, err := spec.Execute(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq := res.DeterministicString(spec.Volatile)
 			for _, d := range degrees {
-				cfg.Parallelism = d
-				res, err := spec.Execute(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertIdentical(t, spec.Name, seq, res.DeterministicString(spec.Volatile), d)
+				t.Run(fmt.Sprintf("parallel-%d", d), func(t *testing.T) {
+					cfg := goldenCfg
+					cfg.Parallelism, cfg.SimWorkers = d, 0 // 0: autotuned domains
+					checkFigureGolden(t, spec, cfg)
+				})
 			}
 		})
 	}
@@ -151,58 +144,68 @@ func TestMultiRackDeterministic(t *testing.T) {
 //
 // The contract extends inside a single simulation: partitioning one fabric
 // across event-engine domains (netsim.Network.Partition) must leave every
-// non-volatile result byte-identical. simWorkerCounts are the domain counts
-// compared against the sequential engine.
+// non-volatile result byte-identical to the sequential engine's golden
+// section. simWorkerCounts are the domain counts compared.
 
 var simWorkerCounts = []int{2, 4}
 
 // TestSpecEngineSimWorkersDeterministic is the registry-wide conformance
-// suite: every figure, executed through Spec.Execute with Partitions(1) vs
-// Partitions(4) fabrics (and with the trial-level worker pool layered on
-// top), produces byte-identical non-volatile metrics.
+// suite: every figure, executed through Spec.Execute on fabrics partitioned
+// into 2 and 4 domains (with the trial-level worker pool layered on top),
+// matches its golden section.
 func TestSpecEngineSimWorkersDeterministic(t *testing.T) {
 	for _, spec := range Specs() {
-		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg := RunConfig{Seed: 7, Seeds: 2, Scale: 0.08, Parallelism: 1, SimWorkers: 1}
-			res, err := spec.Execute(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq := res.DeterministicString(spec.Volatile)
 			for _, w := range simWorkerCounts {
 				for _, par := range []int{1, 3} {
-					cfg.SimWorkers, cfg.Parallelism = w, par
-					res, err := spec.Execute(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := res.DeterministicString(spec.Volatile)
-					if seq != got {
-						t.Fatalf("%s diverged at sim-workers %d (parallelism %d):\nsequential: %s\npartitioned: %s",
-							spec.Name, w, par, seq, got)
-					}
+					t.Run(fmt.Sprintf("sim-workers-%d/parallel-%d", w, par), func(t *testing.T) {
+						cfg := goldenCfg
+						cfg.SimWorkers, cfg.Parallelism = w, par
+						checkFigureGolden(t, spec, cfg)
+					})
 				}
 			}
 		})
 	}
 }
 
-// TestMultiRackSimWorkersDeterministic compares the full result struct —
-// every counter, not just the registry metrics — across domain counts.
+// renderMultiRack renders the full result struct — every counter, not
+// just the registry metrics — at one domain count.
+func renderMultiRack(t *testing.T, simWorkers int) string {
+	t.Helper()
+	res, err := MultiRack(MultiRackConfig{Seed: 5, Vocab: 300, Parallelism: 1, SimWorkers: simWorkers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fieldLines(*res)
+}
+
+// TestMultiRackSimWorkersDeterministic compares the full result struct
+// across domain counts with the sequential golden reference.
 func TestMultiRackSimWorkersDeterministic(t *testing.T) {
-	render := func(simWorkers int) string {
-		res, err := MultiRack(MultiRackConfig{Seed: 5, Vocab: 300, Parallelism: 1, SimWorkers: simWorkers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%+v", *res)
-	}
-	seq := render(1)
 	for _, w := range simWorkerCounts {
-		assertIdentical(t, "multirack sim-workers", seq, render(w), w)
+		t.Run(fmt.Sprintf("sim-workers-%d", w), func(t *testing.T) {
+			checkGolden(t, refSection("multirack"), renderMultiRack(t, w))
+		})
 	}
+}
+
+// renderIncast renders an 8-sender incast with overflowing queues; pool
+// switches the switch to shared-memory DT admission (IncastConfig.PoolBytes),
+// where the ACK and flush streams contend in one pool.
+func renderIncast(t *testing.T, pool bool, simWorkers int) string {
+	t.Helper()
+	cfg := IncastConfig{Seed: 3, Senders: 8, PairsPerSender: 300, QueueBytes: 4096, SimWorkers: simWorkers}
+	if pool {
+		cfg.PoolBytes, cfg.PoolAlpha = 16<<10, 0.5
+	}
+	res, err := Incast(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Cfg.SimWorkers = 0 // the knob itself is the only allowed difference
+	return fieldLines(*res)
 }
 
 // TestIncastSimWorkersDeterministic covers the loss/retransmission path:
@@ -210,81 +213,47 @@ func TestMultiRackSimWorkersDeterministic(t *testing.T) {
 // partitioning bit-for-bit even under synchronized fan-in with overflowing
 // queues.
 func TestIncastSimWorkersDeterministic(t *testing.T) {
-	render := func(simWorkers int) string {
-		res, err := Incast(IncastConfig{
-			Seed: 3, Senders: 8, PairsPerSender: 300,
-			QueueBytes: 4096, SimWorkers: simWorkers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Cfg.SimWorkers = 0 // the knob itself is the only allowed difference
-		return fmt.Sprintf("%+v", *res)
-	}
-	seq := render(1)
 	for _, w := range simWorkerCounts {
-		assertIdentical(t, "incast sim-workers", seq, render(w), w)
+		t.Run(fmt.Sprintf("sim-workers-%d", w), func(t *testing.T) {
+			checkGolden(t, refSection("incast"), renderIncast(t, false, w))
+		})
 	}
 }
 
 // TestIncastPoolSimWorkersDeterministic is the same contract with the
-// switch running shared-memory DT admission (IncastConfig.PoolBytes): the
-// ACK and flush streams contend in one pool, and every counter still
-// replays identically across domain counts.
+// switch running shared-memory DT admission: every counter still replays
+// identically across domain counts.
 func TestIncastPoolSimWorkersDeterministic(t *testing.T) {
-	render := func(simWorkers int) string {
-		res, err := Incast(IncastConfig{
-			Seed: 3, Senders: 8, PairsPerSender: 300,
-			QueueBytes: 4096, PoolBytes: 16 << 10, PoolAlpha: 0.5,
-			SimWorkers: simWorkers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Cfg.SimWorkers = 0
-		return fmt.Sprintf("%+v", *res)
-	}
-	seq := render(1)
 	for _, w := range simWorkerCounts {
-		assertIdentical(t, "incast pooled sim-workers", seq, render(w), w)
+		t.Run(fmt.Sprintf("sim-workers-%d", w), func(t *testing.T) {
+			checkGolden(t, refSection("incast-pool"), renderIncast(t, true, w))
+		})
 	}
 }
 
 // TestSpecEngineRecutDeterministic extends the registry-wide conformance
 // suite with dynamic re-partitioning: every figure, executed with a live
-// measured-skew re-cut policy on a seeded random schedule, produces
-// byte-identical non-volatile metrics to the same figure with a static
-// cut, at 2 and 4 domains. Figures that pin their own engine configuration
-// (parallel-sim, megaincast) ignore the knob and pass trivially; every
-// fabric-building figure that honors Trial.Recut is exercised for real.
+// measured-skew re-cut policy on a seeded random schedule at 2 and 4
+// domains, matches its golden section. Figures that pin their own engine
+// configuration (parallel-sim, megaincast) ignore the knob and pass
+// trivially; every fabric-building figure that honors Trial.Recut is
+// exercised for real.
 func TestSpecEngineRecutDeterministic(t *testing.T) {
 	for _, spec := range Specs() {
-		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg := RunConfig{Seed: 7, Seeds: 2, Scale: 0.08, Parallelism: 1, SimWorkers: 1}
-			res, err := spec.Execute(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			static := res.DeterministicString(spec.Volatile)
 			for _, w := range simWorkerCounts {
 				for _, recutSeed := range []uint64{1, 42} {
-					cfg.SimWorkers = w
-					cfg.Recut = topology.RecutConfig{
-						Every:      3 * time.Microsecond,
-						MinSkewPct: 0, // re-cut on any measured imbalance
-						Seed:       recutSeed,
-					}
-					res, err := spec.Execute(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got := res.DeterministicString(spec.Volatile)
-					if static != got {
-						t.Fatalf("%s diverged under dynamic re-cut (workers %d, recut seed %d):\nstatic: %s\nre-cut: %s",
-							spec.Name, w, recutSeed, static, got)
-					}
+					t.Run(fmt.Sprintf("sim-workers-%d/recut-seed-%d", w, recutSeed), func(t *testing.T) {
+						cfg := goldenCfg
+						cfg.SimWorkers = w
+						cfg.Recut = topology.RecutConfig{
+							Every:      3 * time.Microsecond,
+							MinSkewPct: 0, // re-cut on any measured imbalance
+							Seed:       recutSeed,
+						}
+						checkFigureGolden(t, spec, cfg)
+					})
 				}
 			}
 		})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/daiet/daiet/internal/stats"
 	"github.com/daiet/daiet/internal/topology"
 )
 
@@ -20,8 +19,7 @@ import (
 // imbalance). Every workload metric — frames simulated, events executed,
 // drop rate, completion time — must be byte-identical down the whole
 // column; TestMegaIncastCrossPointIdentical asserts it, and the figure
-// table makes the invariant visible. events_per_sec is the one volatile
-// metric (host wall-clock); peak_arena_kb and recuts_applied are
+// table makes the invariant visible. peak_arena_kb and recuts_applied are
 // deterministic per point but intentionally vary along the axis (arena
 // peaks are per-domain, re-cuts only exist on the -recut point), so the
 // cross-point identity check covers the workload columns only.
@@ -79,16 +77,11 @@ func init() {
 		Metrics: []string{
 			"frames_total",
 			"events_total",
-			"events_per_sec",
 			"peak_arena_kb",
 			"drop_rate_pct",
 			"completion_ms",
 			"recuts_applied",
 		},
-		// events_per_sec divides deterministic event counts by host
-		// wall-clock: real between runs, excluded from determinism
-		// comparisons like parallel-sim's wall_ms.
-		Volatile: []string{"events_per_sec"},
 		Run: func(p Point, tr Trial) (map[string]float64, error) {
 			var mp megaIncastPoint
 			found := false
@@ -103,19 +96,16 @@ func init() {
 			// The point pins the engine cut; tr.SimWorkers/tr.Recut are
 			// deliberately ignored — the axis *is* the engine knob.
 			cfg := megaIncastConfig(tr.Seed, tr.Scale, mp)
-			t0 := time.Now() //simlint:wallclock measures the declared-volatile events_per_sec metric only
 			res, err := BigIncast(cfg)
 			if err != nil {
 				return nil, err
 			}
-			wall := time.Since(t0).Seconds() //simlint:wallclock declared-volatile events_per_sec metric
 			if mp.recut && res.Recuts == 0 {
 				return nil, fmt.Errorf("experiments: megaincast: %s applied no dynamic re-cut", p.Label)
 			}
 			return map[string]float64{
 				"frames_total":   float64(res.Frames),
 				"events_total":   float64(res.Events),
-				"events_per_sec": stats.Ratio(float64(res.Events), wall),
 				"peak_arena_kb":  float64(res.ArenaStats.Bytes) / 1024,
 				"drop_rate_pct":  res.DropRatePct,
 				"completion_ms":  float64(res.Completion) / 1e6,

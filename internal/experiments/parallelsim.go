@@ -12,9 +12,7 @@ import (
 // pair counts) prove the determinism contract — every row of the table must
 // carry identical values, and the registry-wide conformance tests assert it
 // byte-for-byte — while wall_ms shows how wall-clock scales with domains on
-// the host's cores. BENCH_results.json carries the wall_ms_* headline per
-// worker count, so the speedup is tracked across PRs (and measured on the
-// multi-core CI runner even when a laptop run is single-core).
+// the host's cores.
 
 // parallelSimWorkerCounts is the swept intra-sim domain axis.
 var parallelSimWorkerCounts = []int{1, 2, 4}

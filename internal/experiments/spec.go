@@ -24,8 +24,8 @@ import (
 // Point is one position on a figure's sweep axis. Single-panel figures use
 // one point whose X is ignored.
 type Point struct {
-	Label string  `json:"label"`
-	X     float64 `json:"x"`
+	Label string
+	X     float64
 }
 
 // DefaultSeeds is how many independent seeds each point runs when
@@ -112,19 +112,19 @@ func (c RunConfig) withDefaults() RunConfig {
 // multi-seed estimate.
 type PointResult struct {
 	Point
-	Metrics map[string]stats.Estimate `json:"metrics"`
+	Metrics map[string]stats.Estimate
 }
 
 // FigureResult is one executed Spec, the unit the generic table printer
-// and BENCH_results.json emitter consume.
+// and the determinism rendering consume.
 type FigureResult struct {
-	Name        string        `json:"name"`
-	Title       string        `json:"title"`
-	XLabel      string        `json:"x_label"`
-	MetricNames []string      `json:"metric_names"`
-	Seeds       int           `json:"seeds"`
-	Scale       float64       `json:"scale"`
-	Points      []PointResult `json:"points"`
+	Name        string
+	Title       string
+	XLabel      string
+	MetricNames []string
+	Seeds       int
+	Scale       float64
+	Points      []PointResult
 }
 
 // Execute runs the spec: every point at cfg.Seeds independent seeds, fanned
@@ -214,40 +214,11 @@ func colWidth(metric string) int {
 	return minWidth
 }
 
-// Headline flattens the figure into the metric map tracked across PRs in
-// BENCH_results.json: single-point figures use the bare metric names;
-// sweeps qualify each name with its point label.
-func (r *FigureResult) Headline() map[string]stats.Estimate {
-	out := make(map[string]stats.Estimate, len(r.Points)*len(r.MetricNames))
-	for _, pt := range r.Points {
-		for name, e := range pt.Metrics {
-			key := name
-			if len(r.Points) > 1 {
-				key = name + "_" + sanitizeKey(pt.Label)
-			}
-			out[key] = e
-		}
-	}
-	return out
-}
-
-// sanitizeKey maps an axis label into a JSON-key-friendly token.
-func sanitizeKey(label string) string {
-	return strings.Map(func(c rune) rune {
-		switch {
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9':
-			return c
-		case c >= 'A' && c <= 'Z':
-			return c + ('a' - 'A')
-		default:
-			return '_'
-		}
-	}, label)
-}
-
 // DeterministicString renders everything the determinism contract covers:
-// all metrics except the Volatile ones, in canonical order. The
-// parallel-vs-sequential regression tests compare these strings.
+// a header line, then one line per (point, metric) for every metric except
+// the Volatile ones, in canonical order, so a diff names the point and the
+// metric that moved. The committed figure golden and the determinism
+// suites compare these strings.
 func (r *FigureResult) DeterministicString(volatile []string) string {
 	skip := make(map[string]bool, len(volatile))
 	for _, v := range volatile {
@@ -256,15 +227,14 @@ func (r *FigureResult) DeterministicString(volatile []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s seeds=%d scale=%g\n", r.Name, r.Seeds, r.Scale)
 	for _, pt := range r.Points {
-		fmt.Fprintf(&b, "%s x=%g:", pt.Label, pt.X)
 		for _, m := range r.MetricNames {
 			if skip[m] {
 				continue
 			}
 			e := pt.Metrics[m]
-			fmt.Fprintf(&b, " %s={n=%d mean=%v se=%v lo=%v hi=%v}", m, e.N, e.Mean, e.StdErr, e.Lo, e.Hi)
+			fmt.Fprintf(&b, "%s x=%g %s: n=%d mean=%v se=%v lo=%v hi=%v\n",
+				pt.Label, pt.X, m, e.N, e.Mean, e.StdErr, e.Lo, e.Hi)
 		}
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -32,7 +32,7 @@ import (
 // All five metrics are deterministic functions of (seed, config): the
 // sync counters are cut-dependent, like megaincast's peak_arena_kb, but
 // each point pins its engine configuration (workers, protocol, latency),
-// so cmd/benchdiff gates on every column.
+// so the figure golden pins every column.
 
 // syncProtoPoint pins one (latency profile, domains, protocol) cell.
 type syncProtoPoint struct {

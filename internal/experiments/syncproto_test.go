@@ -11,7 +11,7 @@ import (
 // carries seed and scale.
 func syncProtoSmoke(t *testing.T, pt syncProtoPoint) *BigIncastResult {
 	t.Helper()
-	res, err := BigIncast(syncProtoConfig(smokeCfg.Seed, smokeCfg.Scale, pt))
+	res, err := BigIncast(syncProtoConfig(goldenCfg.Seed, goldenCfg.Scale, pt))
 	if err != nil {
 		t.Fatalf("%s: %v", pt.label, err)
 	}

@@ -77,33 +77,37 @@ func TestJainIndex(t *testing.T) {
 	}
 }
 
+// renderTenants renders every counter of a contended two-tenant round —
+// per-tenant drops, per-class pool attribution, completions — at one
+// domain count and re-cut schedule.
+func renderTenants(t *testing.T, simWorkers int, recut topology.RecutConfig) string {
+	t.Helper()
+	res, err := Tenants(TenantsConfig{
+		Seed: 9, VictimSenders: 3, VictimPairs: 120,
+		AggSenders: 8, AggPairs: 300,
+		VictimReserve: 1 << 10, AggAlpha: 32,
+		SimWorkers: simWorkers, Recut: recut,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Cfg.SimWorkers = 0
+	res.Cfg.Recut = topology.RecutConfig{}
+	return fieldLines(*res)
+}
+
 // TestTenantsSimWorkersRecutDeterministic holds the tenants experiment to
-// the partition-invariance contract: every counter — per-tenant drops,
-// per-class pool attribution, completions — is byte-identical at any
-// -sim-workers value and under a measured-skew re-cut schedule.
+// the partition-invariance contract: every counter matches the sequential
+// golden reference at any -sim-workers value and under a measured-skew
+// re-cut schedule.
 func TestTenantsSimWorkersRecutDeterministic(t *testing.T) {
-	render := func(simWorkers int, recut topology.RecutConfig) string {
-		res, err := Tenants(TenantsConfig{
-			Seed: 9, VictimSenders: 3, VictimPairs: 120,
-			AggSenders: 8, AggPairs: 300,
-			VictimReserve: 1 << 10, AggAlpha: 32,
-			SimWorkers: simWorkers, Recut: recut,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Cfg.SimWorkers = 0
-		res.Cfg.Recut = topology.RecutConfig{}
-		return fmt.Sprintf("%+v", *res)
-	}
-	seq := render(1, topology.RecutConfig{})
 	for _, w := range []int{2, 4, 8} {
-		if got := render(w, topology.RecutConfig{}); got != seq {
-			t.Fatalf("tenants diverged at %d sim-workers:\nsequential: %s\ngot:        %s", w, seq, got)
-		}
+		t.Run(fmt.Sprintf("sim-workers-%d", w), func(t *testing.T) {
+			checkGolden(t, refSection("tenants"), renderTenants(t, w, topology.RecutConfig{}))
+		})
 	}
-	recut := topology.RecutConfig{Every: 3 * time.Microsecond, MinSkewPct: 0, Seed: 42}
-	if got := render(4, recut); got != seq {
-		t.Fatalf("tenants diverged under re-cut:\nsequential: %s\ngot:        %s", seq, got)
-	}
+	t.Run("recut", func(t *testing.T) {
+		recut := topology.RecutConfig{Every: 3 * time.Microsecond, MinSkewPct: 0, Seed: 42}
+		checkGolden(t, refSection("tenants"), renderTenants(t, 4, recut))
+	})
 }

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"sync/atomic"
-	"unsafe"
-)
+import "unsafe"
 
 // Per-domain slab arenas for the event hot path.
 //
@@ -159,67 +156,4 @@ func (nw *Network) ArenaStats() ArenaStats {
 		add(d.eng)
 	}
 	return st
-}
-
-// simEvents and simFrames are process-wide counters of executed events
-// and accepted frames, accumulated at the end of every Network.Run /
-// RunUntil. cmd/daiet-bench reads deltas around each figure to report
-// events_total, events_per_sec and allocs_per_frame in BENCH_results.json
-// (schema 6). They are monotone and deterministic for a fixed figure
-// order (-parallel 1).
-var (
-	simEvents atomic.Uint64
-	simFrames atomic.Uint64
-)
-
-// simBarriers/simWindows/simIdleWindows are the process-wide totals of the
-// partitioned engine's synchronization diagnostics (SyncStats), published
-// the same way. cmd/daiet-bench reads deltas around each figure to report
-// sync_barriers, sync_windows and sync_idle_windows per record (schema 9).
-var (
-	simBarriers    atomic.Uint64
-	simWindows     atomic.Uint64
-	simIdleWindows atomic.Uint64
-)
-
-// SimCounters returns the process-wide totals of executed simulator
-// events and accepted (transmitted) frames.
-func SimCounters() (events, frames uint64) {
-	return simEvents.Load(), simFrames.Load()
-}
-
-// SyncCounters returns the process-wide totals of partitioned-engine
-// synchronization rounds: barriers (coordinator rounds), dispatched
-// execution windows, and idle windows (domain-rounds denied by a horizon).
-func SyncCounters() (barriers, windows, idleWindows uint64) {
-	return simBarriers.Load(), simWindows.Load(), simIdleWindows.Load()
-}
-
-// account publishes this network's event/frame/sync progress into the
-// process-wide counters. Called once per Run/RunUntil return.
-func (nw *Network) account() {
-	ev := nw.Processed()
-	simEvents.Add(ev - nw.accEvents)
-	nw.accEvents = ev
-	fr := nw.framesScheduled()
-	simFrames.Add(fr - nw.accFrames)
-	nw.accFrames = fr
-	ss := nw.syncStats
-	simBarriers.Add(ss.Barriers - nw.accSync.Barriers)
-	simWindows.Add(ss.Windows - nw.accSync.Windows)
-	simIdleWindows.Add(ss.IdleWindows - nw.accSync.IdleWindows)
-	nw.accSync = ss
-}
-
-// framesScheduled sums accepted-frame counts over all engines (each
-// engine counts the frames its domain's transmitters accepted).
-func (nw *Network) framesScheduled() uint64 {
-	if nw.domains == nil {
-		return nw.Eng.txFrames
-	}
-	var n uint64
-	for _, d := range nw.domains {
-		n += d.eng.txFrames
-	}
-	return n
 }

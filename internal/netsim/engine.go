@@ -197,9 +197,6 @@ type Engine struct {
 	events eventHeap
 	// Processed counts executed events, a cheap progress/livelock indicator.
 	Processed uint64
-	// txFrames counts frames accepted by this engine's transmitters (the
-	// per-domain share of Network.TotalStats().TxFrames).
-	txFrames uint64
 
 	// frames/fns hold the payloads of queued events (see arena.go). One
 	// arena pair per engine: a domain's in-flight state lives with its

@@ -234,12 +234,6 @@ type Network struct {
 	syncProto SyncProtocol
 	syncStats SyncStats
 
-	// accEvents/accFrames/accSync remember what this network already
-	// published into the process-wide SimCounters/SyncCounters (arena.go).
-	accEvents uint64
-	accFrames uint64
-	accSync   SyncStats
-
 	// tracer, when non-nil, observes every transmit-side admission attempt
 	// (see tracer.go). Installed only while quiescent; read inline on the
 	// send path by domain goroutines.
@@ -433,7 +427,6 @@ func (nw *Network) send(hl *halfLink, class int, frame []byte) {
 	hl.stats.TxFrames++
 	hl.stats.TxBytes += uint64(size)
 	hl.txSeq++
-	eng.txFrames++
 	if nw.tracer != nil {
 		// Accepted attempts are traced after the charge, so the reported
 		// occupancy includes the frame itself — its position at the tail of
@@ -628,7 +621,6 @@ func (nw *Network) TotalStats() LinkStats {
 // domain (see partition.go). maxEvents bounds the total executed event
 // count across all domains; 0 means unlimited.
 func (nw *Network) Run(maxEvents uint64) error {
-	defer nw.account()
 	if nw.domains == nil {
 		return nw.Eng.Run(maxEvents)
 	}
@@ -643,7 +635,6 @@ func (nw *Network) Run(maxEvents uint64) error {
 // new work at >= deadline, exactly like setup code — whether the fabric is
 // sequential or partitioned, the observable behaviour is identical.
 func (nw *Network) RunUntil(deadline Time) error {
-	defer nw.account()
 	if nw.domains == nil {
 		nw.Eng.RunUntil(deadline)
 		return nil

@@ -81,8 +81,8 @@ func (nw *Network) SetSyncProtocol(p SyncProtocol) { nw.syncProto = p }
 // so telemetry exports them in the engine section, excluded from the
 // byte-identity comparison. For a fixed configuration they are fully
 // deterministic (the coordinator's decisions are pure functions of heap
-// states at barriers), which is what lets the syncproto figure commit
-// them and cmd/benchdiff gate on them.
+// states at barriers), which is what lets the syncproto figure report
+// them as exact metrics.
 type SyncStats struct {
 	Barriers    uint64 // coordinator rounds (quiescent rendezvous points)
 	Windows     uint64 // per-domain execution windows dispatched

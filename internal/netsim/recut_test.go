@@ -236,7 +236,4 @@ func TestArenaRecycling(t *testing.T) {
 	if uint64(st.FrameCap) >= frames {
 		t.Fatalf("frame slots are not recycled: cap %d for %d frames", st.FrameCap, frames)
 	}
-	if ev, fr := SimCounters(); ev == 0 || fr == 0 {
-		t.Fatalf("SimCounters not accumulating: events=%d frames=%d", ev, fr)
-	}
 }

@@ -11,14 +11,14 @@ import "math"
 // Estimate is a mean with its uncertainty: the unit in which the sweep
 // framework reports every metric.
 type Estimate struct {
-	N      int     `json:"n"`
-	Mean   float64 `json:"mean"`
-	StdErr float64 `json:"stderr"`
+	N      int
+	Mean   float64
+	StdErr float64
 	// Lo and Hi bound the 95% confidence interval for the mean. With one
 	// sample the interval is undefined and collapses to the point estimate;
 	// with zero samples the whole Estimate is zero.
-	Lo float64 `json:"ci_lo"`
-	Hi float64 `json:"ci_hi"`
+	Lo float64
+	Hi float64
 }
 
 // Margin returns the half-width of the confidence interval.

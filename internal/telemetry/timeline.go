@@ -40,9 +40,9 @@ func sortRecords(recs []Record) {
 }
 
 // timelineMagic heads the text serialization; the version suffix gates
-// format evolution like benchfmt.Schema gates the figure schema. v2 added
-// the synchronization counters (barriers, windows, idle windows, mean
-// horizon) to engine lines.
+// format evolution, so a reader rejects a timeline it cannot parse. v2
+// added the synchronization counters (barriers, windows, idle windows,
+// mean horizon) to engine lines.
 const timelineMagic = "daiet-timeline v2"
 
 // WriteTo serializes the timeline in its line-oriented text format:
