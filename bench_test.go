@@ -45,40 +45,6 @@ func BenchmarkFigures(b *testing.B) {
 	}
 }
 
-// BenchmarkMultirackParallel is the headline proof of the partitioned
-// event engine: one 8-rack WordCount fabric, executed sequentially and
-// partitioned across 2 and 4 event-engine domains. The metrics are
-// byte-identical at every worker count (asserted by the conformance tests
-// in internal/experiments and internal/netsim); wall-clock per op is the
-// speedup instrument — on a >= 4-core host the 4-domain run completes the
-// same simulation in under half the sequential time.
-func BenchmarkMultirackParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			var core float64
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.MultiRack(experiments.MultiRackConfig{
-					Seed:         7,
-					Leaves:       8,
-					Spines:       2,
-					HostsPerLeaf: 8,
-					Mappers:      48,
-					Reducers:     12,
-					Vocab:        1200,
-					Parallelism:  1, // domains are the parallelism under test
-					SimWorkers:   workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				core = res.CoreReductionPct
-			}
-			b.ReportMetric(core, "core_reduction_pct")
-		})
-	}
-}
-
 // BenchmarkSwitchPipelinePerPacket measures the simulated dataplane's
 // per-packet aggregation cost: one fully loaded DATA packet (10 pairs)
 // through parse + tree lookup + Algorithm 1.

@@ -16,10 +16,8 @@
 //
 // -seed fixes the base seed (per-trial seeds derive from it, so the same
 // seed reproduces the same intervals); -parallel sets the sharded runner's
-// worker-pool degree (0 = GOMAXPROCS, 1 = sequential) and -sim-workers the
-// intra-simulation partition degree (event-engine domains per fabric;
-// "auto" lets every fabric pick min(rack-cut units, GOMAXPROCS)) — results
-// are identical at any combination.
+// worker-pool degree (0 = GOMAXPROCS, 1 = sequential) — results are
+// identical at any degree.
 //
 // -telemetry <dir> additionally replays every registered timeline spec
 // (internal/experiments.TimelineSpecs) with the sim-time recorder attached
@@ -42,7 +40,6 @@ import (
 	"runtime/pprof"
 	"runtime/trace"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/daiet/daiet/internal/experiments"
@@ -55,26 +52,11 @@ var (
 	seeds      = flag.Int("seeds", experiments.DefaultSeeds, "independent seeds per figure point (the CI ensemble)")
 	scale      = flag.Float64("scale", 1.0, "problem-size multiplier (1 = paper scale)")
 	parallel   = flag.Int("parallel", 0, "experiment-runner parallelism (0 = GOMAXPROCS, 1 = sequential)")
-	simWorkers = flag.String("sim-workers", "1", "intra-simulation parallelism: event-engine domains per fabric, or \"auto\" for min(rack-cut units, GOMAXPROCS) per fabric (results identical at any value)")
 	telemetry  = flag.String("telemetry", "", "directory for recorded fabric timelines (<name>_timeline.txt per timeline spec); empty disables recording")
 	cpuProfile = flag.String("cpuprofile", "", "write a runtime/pprof CPU profile of the whole run to this path")
 	memProfile = flag.String("memprofile", "", "write a runtime/pprof heap profile (after the run) to this path")
 	execTrace  = flag.String("exectrace", "", "write a runtime/trace execution trace of the whole run to this path")
 )
-
-// parseSimWorkers maps the -sim-workers flag onto the RunConfig knob:
-// "auto" (or 0) selects per-fabric autotuning, anything else is an
-// explicit domain count.
-func parseSimWorkers(s string) (int, error) {
-	if s == "auto" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("-sim-workers: want a non-negative integer or \"auto\", got %q", s)
-	}
-	return n, nil
-}
 
 func main() {
 	log.SetFlags(0)
@@ -87,11 +69,6 @@ func main() {
 // run is main's body, factored out so the deferred profile writers flush
 // before the process exits — log.Fatal inside would truncate them.
 func run() error {
-	simW, err := parseSimWorkers(*simWorkers)
-	if err != nil {
-		return err
-	}
-
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -147,7 +124,6 @@ func run() error {
 			Seeds:       *seeds,
 			Scale:       *scale,
 			Parallelism: figParallel,
-			SimWorkers:  simW,
 		})
 		if err != nil {
 			return nil, err
@@ -164,7 +140,7 @@ func run() error {
 	}
 
 	if *telemetry != "" {
-		if err := recordTimelines(*telemetry, simW); err != nil {
+		if err := recordTimelines(*telemetry); err != nil {
 			return err
 		}
 	}
@@ -185,12 +161,12 @@ func run() error {
 
 // recordTimelines replays every registered timeline spec with the
 // recorder attached and writes <dir>/<name>_timeline.txt.
-func recordTimelines(dir string, simW int) error {
+func recordTimelines(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("-telemetry: %w", err)
 	}
 	for _, spec := range experiments.TimelineSpecs() {
-		tl, err := spec.Run(experiments.Trial{Seed: *seed, Scale: *scale, SimWorkers: simW})
+		tl, err := spec.Run(experiments.Trial{Seed: *seed, Scale: *scale})
 		if err != nil {
 			return fmt.Errorf("timeline %s: %w", spec.Name, err)
 		}

@@ -1,4 +1,4 @@
-// daiet-trace renders a recorded fabric timeline (the daiet-timeline v2
+// daiet-trace renders a recorded fabric timeline (the daiet-timeline v3
 // text format written by daiet-bench -telemetry or telemetry.Timeline's
 // WriteTo) into figure-ready forms:
 //
@@ -9,8 +9,7 @@
 // https://ui.perfetto.dev): per-node counter tracks for the pool, class,
 // port and tree gauges, instant events for sampled frame hops and
 // controller failover observations, and a "fabric control" process for the
-// quiescent control-point samples and the cut-dependent engine
-// diagnostics. Virtual timestamps map to trace microseconds, so the
+// control-point samples and the engine's arena gauges. Virtual timestamps map to trace microseconds, so the
 // viewer's timeline IS the simulation clock.
 //
 // -csv emits one flat row per record (at_ns, origin, seq, kind, node, k,
@@ -37,7 +36,7 @@ import (
 )
 
 var (
-	inPath   = flag.String("in", "", "input timeline (daiet-timeline v2 text, from daiet-bench -telemetry)")
+	inPath   = flag.String("in", "", "input timeline (daiet-timeline v3 text, from daiet-bench -telemetry)")
 	jsonPath = flag.String("json", "", "write Chrome trace-event JSON to this path")
 	csvPath  = flag.String("csv", "", "write flat per-record CSV to this path")
 )
@@ -94,7 +93,7 @@ func run() error {
 }
 
 // controlPID is the synthetic process ID grouping fabric-wide records
-// (control-point samples, engine diagnostics) apart from the per-node
+// (control-point samples, engine arena gauges) apart from the per-node
 // tracks, which use pid = node ID + 1 (trace viewers reserve pid 0).
 const controlPID = 1 << 30
 
@@ -170,10 +169,8 @@ func chromeTrace(tl *telemetry.Timeline) ([]byte, error) {
 		events = append(events, traceEvent{
 			Name: "engine", Phase: "C", TS: float64(es.At) / 1e3, PID: controlPID,
 			Args: map[string]any{
-				"domains": es.Domains, "frame_live": es.FrameLive, "frame_peak": es.FramePeak,
-				"timer_peak": es.TimerPeak, "arena_bytes": es.Bytes, "recuts": es.Recuts,
-				"sync_barriers": es.Barriers, "sync_windows": es.Windows,
-				"sync_idle_windows": es.IdleWindows, "mean_horizon_ns": int64(es.MeanHorizon),
+				"frame_live": es.FrameLive, "frame_peak": es.FramePeak,
+				"timer_peak": es.TimerPeak, "arena_bytes": es.Bytes,
 			},
 		})
 	}
@@ -182,7 +179,7 @@ func chromeTrace(tl *telemetry.Timeline) ([]byte, error) {
 		"traceEvents":     events,
 		"displayTimeUnit": "ns",
 		"otherData": map[string]any{
-			"format":          "daiet-timeline v2",
+			"format":          "daiet-timeline v3",
 			"cadence_ns":      int64(tl.Cadence),
 			"dropped_records": tl.Dropped,
 		},

@@ -25,8 +25,7 @@ func sampleTimeline() *telemetry.Timeline {
 				V0: 2, V1: 0, V2: 4096, V3: 512, V4: int64(netsim.FrameDropPool)},
 			{At: 70_000, Origin: 0, Seq: 2, Kind: telemetry.KindMonitor, Node: 4, V0: 5, Note: "link-flapped"},
 		},
-		Engine: []telemetry.EngineSample{{At: 70_000, Domains: 2, FrameLive: 3, FramePeak: 9,
-			Barriers: 11, Windows: 18, IdleWindows: 2, MeanHorizon: 900}},
+		Engine: []telemetry.EngineSample{{At: 70_000, FrameLive: 3, FramePeak: 9, TimerPeak: 2, Bytes: 4096}},
 	}
 }
 

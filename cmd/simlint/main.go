@@ -2,8 +2,8 @@
 // (internal/analysis) over Go package patterns and fails on any
 // unsuppressed finding. It is the mechanical enforcement of the
 // simulator's byte-identity contract: run-to-run, machine-to-machine and
-// across -sim-workers settings, a figure row must be a pure function of
-// its trial seed.
+// at any runner parallelism, a figure row must be a pure function of its
+// trial seed.
 //
 // Usage:
 //

@@ -1,25 +1,20 @@
 // Package arenaescape enforces the frame-arena ownership rule that makes
 // the zero-alloc event hot path safe (see internal/netsim/arena.go): an
-// arena slot is owned by exactly one engine from alloc to take, payloads
-// pass by-reference exactly once (Send -> arena -> HandleFrame), and
-// cross-domain frames travel as mail records that re-enter an arena only
-// through Engine.scheduleFrame at the barrier. Code that reaches into
-// arena storage from anywhere else can retain a frame pointer past its
-// delivery — the slot gets recycled and the "retained" frame silently
-// becomes a different packet — or smuggle a slot across a domain boundary,
-// where it indexes the wrong engine's arena.
+// arena slot is owned by the engine from alloc to take, and payloads pass
+// by-reference exactly once (Send -> arena -> HandleFrame). Code that
+// reaches into arena storage from anywhere else can retain a frame pointer
+// past its delivery — the slot gets recycled and the "retained" frame
+// silently becomes a different packet.
 //
 // The analyzer is type-name driven and flags, in the hot packages (netsim,
-// dataplane, telemetry — whose hop sampler sees raw frame bytes), three
+// dataplane, telemetry — whose hop sampler sees raw frame bytes), two
 // escapes:
 //
 //   - touching frameArena/fnArena internals outside the engine's own
-//     helpers (the arenas' methods, the scheduling/step/migration
-//     functions, and ArenaStats),
+//     helpers (the arenas' methods, the scheduling and step functions, and
+//     ArenaStats), and
 //   - constructing or dereferencing an event's arena slot outside those
-//     helpers (a stored slot is dangling the moment the event fires), and
-//   - constructing a cross-domain mail record outside send/flushMail (the
-//     only legal path back into an arena is the scheduleFrame handoff).
+//     helpers (a stored slot is dangling the moment the event fires).
 package arenaescape
 
 import (
@@ -37,21 +32,13 @@ var hotPackages = []string{"netsim", "dataplane", "telemetry"}
 var arenaTypes = []string{"frameArena", "fnArena"}
 
 // arenaFuncs may touch arena internals and event slots: the scheduling
-// helpers (slot birth), Step/eventOwner (slot death/inspection), the
-// re-cut migration pair, and the stats aggregator.
-var arenaFuncs = []string{
-	"scheduleOwned", "scheduleFrame", "Step", "eventOwner",
-	"extractMoved", "adopt", "ArenaStats",
-}
-
-// mailFuncs may construct cross-domain mail records: send (the only
-// producer) and flushMail (the barrier consumer, which zeroes slots).
-var mailFuncs = []string{"send", "flushMail"}
+// helpers (slot birth), Step (slot death), and the stats reader.
+var arenaFuncs = []string{"scheduleOwned", "scheduleFrame", "Step", "ArenaStats"}
 
 var Analyzer = &framework.Analyzer{
 	Name: "arenaescape",
-	Doc: "flag code touching frame-arena internals, event slots, or cross-domain mail records " +
-		"outside the engine's own handoff helpers; arena slots are owned alloc-to-take",
+	Doc: "flag code touching frame-arena internals or event slots outside the engine's own " +
+		"scheduling helpers; arena slots are owned alloc-to-take",
 	Run: run,
 }
 
@@ -71,13 +58,12 @@ func run(pass *framework.Pass) error {
 }
 
 // checkFunc inspects one function body. FuncLits inherit their enclosing
-// declaration's allowance (ArenaStats aggregates via a closure).
+// declaration's allowance.
 func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 	if fd.Body == nil {
 		return
 	}
 	arenaOK := slices.Contains(arenaFuncs, fd.Name.Name) || receiverIsArena(pass, fd)
-	mailOK := slices.Contains(mailFuncs, fd.Name.Name)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
@@ -95,10 +81,6 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 			if !arenaOK && isNamed(t, "event") && setsField(n, "slot") {
 				pass.Reportf(n.Pos(),
 					"event with an arena slot constructed outside the scheduling helpers; use Engine.scheduleFrame/Schedule")
-			}
-			if !mailOK && isNamed(t, "mail") && len(n.Elts) > 0 {
-				pass.Reportf(n.Pos(),
-					"cross-domain mail record constructed outside send/flushMail; frames re-enter an arena only via Engine.scheduleFrame")
 			}
 		}
 		return true

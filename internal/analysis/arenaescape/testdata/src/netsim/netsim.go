@@ -1,5 +1,5 @@
 // Package netsim is a hermetic stand-in for the real event engine: the
-// same type names (frameArena, fnArena, event, mail) and helper names, so
+// same type names (frameArena, fnArena, event) and helper names, so
 // the type-name-driven ownership rules bind exactly as they do in the
 // real package.
 package netsim
@@ -32,16 +32,6 @@ type event struct {
 	seq  uint64
 	slot int32
 	exec uint32
-}
-
-type mail struct {
-	at    Time
-	src   uint64
-	seq   uint64
-	dst   NodeID
-	node  Node
-	port  int32
-	frame []byte
 }
 
 type Engine struct {
@@ -101,19 +91,6 @@ func (e *Engine) ArenaStats() int {
 	return total
 }
 
-// send is the only mail producer.
-func (e *Engine) send(at Time, dst NodeID, n Node, port int32, frame []byte, box *[]mail) {
-	*box = append(*box, mail{at: at, src: e.origin, dst: dst, node: n, port: port, frame: frame})
-}
-
-// flushMail re-slots mail through the handoff helper and may zero records.
-func (e *Engine) flushMail(box []mail) {
-	for i, m := range box {
-		e.scheduleFrame(m.at, m.src, m.seq, m.dst, m.node, m.port, m.frame)
-		box[i] = mail{}
-	}
-}
-
 // badPeek retains an arena-owned payload past delivery: the slot recycles
 // and the "kept" frame becomes a different packet.
 func (e *Engine) badPeek(slot int32) []byte {
@@ -136,22 +113,10 @@ func (e *Engine) badEventForge(at Time, slot int32) {
 	e.events = append(e.events, event{at: at, slot: slot}) // want `event with an arena slot constructed outside the scheduling helpers`
 }
 
-// badMailForge fabricates a cross-domain record, bypassing the handoff.
-func (e *Engine) badMailForge(dst NodeID, frame []byte) mail {
-	return mail{dst: dst, frame: frame} // want `cross-domain mail record constructed outside send/flushMail`
-}
-
 // goodEventNoSlot: slotless event literals (heap sentinels, tests) are
 // fine anywhere.
 func (e *Engine) goodEventNoSlot(at Time) {
 	e.events = append(e.events, event{at: at, src: e.origin})
-}
-
-// goodZeroMail: zeroing a record is GC hygiene, not construction.
-func goodZeroMail(box []mail) {
-	for i := range box {
-		box[i] = mail{}
-	}
 }
 
 // suppressedPeek keeps the escape hatch working.

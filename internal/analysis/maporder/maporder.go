@@ -3,8 +3,8 @@
 // sending on channels, writing output, or feeding a hash/fingerprint. Go
 // randomizes map iteration order per run, so any such loop injects
 // nondeterminism directly into event order, metric rows, reports or
-// per-node trace fingerprints — the exact artifacts the conformance suite
-// pins byte-identical across -sim-workers settings.
+// per-node trace fingerprints — the exact artifacts the figure golden and
+// the replay digests pin byte-for-byte.
 //
 // The approved shape is to materialize and sort the keys first, then range
 // over the sorted slice. The analyzer recognizes the collect-then-sort

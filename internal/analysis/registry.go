@@ -10,7 +10,6 @@ import (
 	"github.com/daiet/daiet/internal/analysis/framework"
 	"github.com/daiet/daiet/internal/analysis/globalrand"
 	"github.com/daiet/daiet/internal/analysis/maporder"
-	"github.com/daiet/daiet/internal/analysis/nodeclock"
 	"github.com/daiet/daiet/internal/analysis/wallclock"
 )
 
@@ -21,7 +20,6 @@ func Analyzers() []*framework.Analyzer {
 		framecopy.Analyzer,
 		globalrand.Analyzer,
 		maporder.Analyzer,
-		nodeclock.Analyzer,
 		wallclock.Analyzer,
 	}
 }

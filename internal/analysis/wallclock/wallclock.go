@@ -1,6 +1,6 @@
 // Package wallclock forbids reading the host's real clock inside
 // simulation packages. Every reproduced figure depends on runs being
-// byte-identical across machines, -sim-workers settings and reruns;
+// byte-identical across machines, runner parallelism and reruns;
 // time.Now and friends leak wall time into that closed world.
 //
 // Scope: every package under an internal/ path segment, except the

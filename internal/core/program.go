@@ -511,7 +511,7 @@ func (p *Program) Crash() (lostPairs int) {
 		ids = append(ids, id)
 	}
 	// Tear down in ascending tree order: RemoveTree cancels replay state,
-	// and crash handling must replay identically at any -sim-workers.
+	// and crash handling must replay identically on every run.
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		p.RemoveTree(id)

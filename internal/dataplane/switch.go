@@ -100,12 +100,12 @@ func (s *Switch) ResetBuffers() { s.nw.ResetPool(s.id) }
 // Down reports whether the switch is crashed.
 func (s *Switch) Down() bool { return s.down }
 
-// After schedules fn on the switch's own event-engine domain, d ticks from
-// its current virtual time — the control-logic timer the replay-buffer
+// After schedules fn as a timer owned by the switch, d ticks from the
+// current virtual time — the control-logic timer the replay-buffer
 // retransmitter uses. Valid after Attach.
 func (s *Switch) After(d netsim.Time, fn func()) { s.nw.NodeAfter(s.id, d, fn) }
 
-// Now returns the switch's current virtual time (its domain clock).
+// Now returns the current virtual time.
 func (s *Switch) Now() netsim.Time { return s.nw.NodeNow(s.id) }
 
 // Inject transmits a program-generated frame out of port from control

@@ -109,7 +109,7 @@ const (
 
 // ablationRegisterSizePoint runs one table-size configuration over its own
 // (seed-determined, collision-permitted) corpus: small tables must spill.
-func ablationRegisterSizePoint(seed uint64, size, vocabPer, sim int) (AblationPoint, error) {
+func ablationRegisterSizePoint(seed uint64, size, vocabPer int) (AblationPoint, error) {
 	var pt AblationPoint
 	corpus, err := ablationCorpus(seed, ablationReducers, vocabPer, 8.3, 1<<20, 16, 16, false)
 	if err != nil {
@@ -117,7 +117,7 @@ func ablationRegisterSizePoint(seed uint64, size, vocabPer, sim int) (AblationPo
 	}
 	pt, err = runPair(corpus.Splits(ablationMappers), mapreduce.ClusterConfig{
 		NumMappers: ablationMappers, NumReducers: ablationReducers,
-		TableSize: size, Seed: seed, SimWorkers: sim,
+		TableSize: size, Seed: seed,
 	})
 	if err != nil {
 		return pt, fmt.Errorf("experiments: table size %d: %w", size, err)
@@ -136,13 +136,13 @@ func ablationRegisterSizePoint(seed uint64, size, vocabPer, sim int) (AblationPo
 // pool.
 func AblationRegisterSize(seed uint64, sizes []int, parallelism int) ([]AblationPoint, error) {
 	return runner.Map(len(sizes), parallelism, func(shard int) (AblationPoint, error) {
-		return ablationRegisterSizePoint(seed, sizes[shard], ablationVocab, 1)
+		return ablationRegisterSizePoint(seed, sizes[shard], ablationVocab)
 	})
 }
 
 // ablationPairsPerPacketPoint runs one packetization bound over its own
 // collision-free corpus.
-func ablationPairsPerPacketPoint(seed uint64, pairs, vocabPer, sim int) (AblationPoint, error) {
+func ablationPairsPerPacketPoint(seed uint64, pairs, vocabPer int) (AblationPoint, error) {
 	const tableSize = 4096
 	var pt AblationPoint
 	corpus, err := ablationCorpus(seed, ablationReducers, vocabPer, 8.3, tableSize, 16, 16, true)
@@ -151,7 +151,7 @@ func ablationPairsPerPacketPoint(seed uint64, pairs, vocabPer, sim int) (Ablatio
 	}
 	pt, err = runPair(corpus.Splits(ablationMappers), mapreduce.ClusterConfig{
 		NumMappers: ablationMappers, NumReducers: ablationReducers,
-		TableSize: tableSize, MaxPairsPerPacket: pairs, Seed: seed, SimWorkers: sim,
+		TableSize: tableSize, MaxPairsPerPacket: pairs, Seed: seed,
 	})
 	if err != nil {
 		return pt, fmt.Errorf("experiments: pairs/packet %d: %w", pairs, err)
@@ -166,7 +166,7 @@ func ablationPairsPerPacketPoint(seed uint64, pairs, vocabPer, sim int) (Ablatio
 // packet counts on both sides but leave the data reduction untouched.
 func AblationPairsPerPacket(seed uint64, counts []int, parallelism int) ([]AblationPoint, error) {
 	return runner.Map(len(counts), parallelism, func(shard int) (AblationPoint, error) {
-		return ablationPairsPerPacketPoint(seed, counts[shard], ablationVocab, 1)
+		return ablationPairsPerPacketPoint(seed, counts[shard], ablationVocab)
 	})
 }
 
@@ -176,7 +176,7 @@ const ablationKeyWidthMaxWordLen = 8
 
 // ablationKeyWidthPoint runs one fixed key width; the pair geometry
 // changes with the width, so each point regenerates its corpus.
-func ablationKeyWidthPoint(seed uint64, width, vocabPer, sim int) (AblationPoint, error) {
+func ablationKeyWidthPoint(seed uint64, width, vocabPer int) (AblationPoint, error) {
 	const tableSize = 4096
 	var pt AblationPoint
 	if width < ablationKeyWidthMaxWordLen {
@@ -190,7 +190,7 @@ func ablationKeyWidthPoint(seed uint64, width, vocabPer, sim int) (AblationPoint
 	}
 	pt, err = runPair(corpus.Splits(ablationMappers), mapreduce.ClusterConfig{
 		NumMappers: ablationMappers, NumReducers: ablationReducers,
-		TableSize: tableSize, Seed: seed, SimWorkers: sim,
+		TableSize: tableSize, Seed: seed,
 		Geometry: wire.PairGeometry{KeyWidth: width},
 	})
 	if err != nil {
@@ -212,7 +212,7 @@ func AblationKeyWidth(seed uint64, widths []int, parallelism int) ([]AblationPoi
 		}
 	}
 	return runner.Map(len(widths), parallelism, func(shard int) (AblationPoint, error) {
-		return ablationKeyWidthPoint(seed, widths[shard], ablationVocab, 1)
+		return ablationKeyWidthPoint(seed, widths[shard], ablationVocab)
 	})
 }
 
@@ -231,10 +231,10 @@ type WorkerCombinerResult struct {
 
 // AblationWorkerCombiner measures both levels on one corpus.
 func AblationWorkerCombiner(seed uint64) (*WorkerCombinerResult, error) {
-	return ablationWorkerCombiner(seed, 600, 1)
+	return ablationWorkerCombiner(seed, 600)
 }
 
-func ablationWorkerCombiner(seed uint64, vocabPer, sim int) (*WorkerCombinerResult, error) {
+func ablationWorkerCombiner(seed uint64, vocabPer int) (*WorkerCombinerResult, error) {
 	const (
 		mappers, reducers = 8, 2
 		tableSize         = 4096
@@ -290,7 +290,6 @@ func ablationWorkerCombiner(seed uint64, vocabPer, sim int) (*WorkerCombinerResu
 	}
 	cl, err := mapreduce.NewCluster(mapreduce.ClusterConfig{
 		NumMappers: mappers, NumReducers: reducers, TableSize: tableSize, Seed: seed,
-		SimWorkers: sim,
 	})
 	if err != nil {
 		return nil, err
@@ -328,7 +327,7 @@ func init() {
 		Points:  ablationPoints("table", []int{64, 256, 1024, 4096, 16384}),
 		Metrics: []string{"data_reduction_pct", "pkt_reduction_pct", "spilled_pairs"},
 		Run: func(pt Point, tr Trial) (map[string]float64, error) {
-			p, err := ablationRegisterSizePoint(tr.Seed, int(pt.X), scaledInt(ablationVocab, tr.Scale, 100), tr.SimWorkers)
+			p, err := ablationRegisterSizePoint(tr.Seed, int(pt.X), scaledInt(ablationVocab, tr.Scale, 100))
 			if err != nil {
 				return nil, err
 			}
@@ -347,7 +346,7 @@ func init() {
 		Points:  ablationPoints("pairs", []int{2, 5, 10, 12}),
 		Metrics: []string{"data_reduction_pct", "pkt_reduction_pct"},
 		Run: func(pt Point, tr Trial) (map[string]float64, error) {
-			p, err := ablationPairsPerPacketPoint(tr.Seed, int(pt.X), scaledInt(ablationVocab, tr.Scale, 100), tr.SimWorkers)
+			p, err := ablationPairsPerPacketPoint(tr.Seed, int(pt.X), scaledInt(ablationVocab, tr.Scale, 100))
 			if err != nil {
 				return nil, err
 			}
@@ -365,7 +364,7 @@ func init() {
 		Points:  ablationPoints("width", []int{8, 16, 32}),
 		Metrics: []string{"data_reduction_pct", "reducer_pairs"},
 		Run: func(pt Point, tr Trial) (map[string]float64, error) {
-			p, err := ablationKeyWidthPoint(tr.Seed, int(pt.X), scaledInt(ablationVocab, tr.Scale, 100), tr.SimWorkers)
+			p, err := ablationKeyWidthPoint(tr.Seed, int(pt.X), scaledInt(ablationVocab, tr.Scale, 100))
 			if err != nil {
 				return nil, err
 			}
@@ -383,7 +382,7 @@ func init() {
 		Points:  []Point{{Label: "combiner", X: 0}},
 		Metrics: []string{"worker_level_reduction_pct", "in_network_reduction_pct"},
 		Run: func(_ Point, tr Trial) (map[string]float64, error) {
-			res, err := ablationWorkerCombiner(tr.Seed, scaledInt(600, tr.Scale, 100), tr.SimWorkers)
+			res, err := ablationWorkerCombiner(tr.Seed, scaledInt(600, tr.Scale, 100))
 			if err != nil {
 				return nil, err
 			}

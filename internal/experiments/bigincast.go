@@ -75,27 +75,6 @@ type BigIncastConfig struct {
 	EdgeQueueBytes int
 	// Replay bounds each switch's per-tree replay buffer (default 64).
 	Replay int
-	// SimWorkers partitions the fabric into parallel event-engine domains
-	// (0 autotunes to min(rack units, GOMAXPROCS)); results are
-	// byte-identical at any value.
-	SimWorkers int
-	// CorePropagation, when non-zero, sets the propagation delay of every
-	// switch-to-switch link. The rack cut runs along the core tier, so this
-	// is the engine's synchronization-lookahead knob; zero keeps the
-	// historical zero-delay core of every earlier figure.
-	CorePropagation time.Duration
-	// ShortCutPropagation, when non-zero, shortens exactly one core link
-	// (the first leaf's first spine uplink) to this delay — the
-	// heterogeneous cut of the syncproto figure: one short synchronization
-	// channel among long ones.
-	ShortCutPropagation time.Duration
-	// SyncProtocol selects the partitioned engine's conservative
-	// synchronization scheme (default netsim.SyncEIT); results are
-	// byte-identical under either.
-	SyncProtocol netsim.SyncProtocol
-	// Recut enables measured-skew dynamic re-partitioning (zero value
-	// disables); results stay byte-identical under any re-cut schedule.
-	Recut topology.RecutConfig
 	// Telemetry, when non-nil, records a fabric timeline during the run:
 	// every pooled switch is probed on the config's cadence (pool, port
 	// and tree-residency gauges) and the INT-style path sampler covers
@@ -171,20 +150,11 @@ type BigIncastResult struct {
 	// the collector completed.
 	Completion netsim.Time
 
-	// Engine-scale accounting (PR 7): executed simulator events, accepted
-	// frames, the peak arena footprint across all domains, how many
-	// event-engine domains actually ran, and how many dynamic re-cuts the
-	// policy applied. All deterministic in (Seed, config).
+	// Engine-scale accounting: executed simulator events, accepted frames
+	// and the engine's arena footprint. All deterministic in (Seed, config).
 	Events     uint64
 	Frames     uint64
 	ArenaStats netsim.ArenaStats
-	Domains    int
-	Recuts     uint64
-
-	// Sync is the partitioned engine's synchronization diagnostics
-	// (barriers, windows, idle windows, horizon widths) — cut-dependent
-	// like ArenaStats, deterministic for a fixed configuration.
-	Sync netsim.SyncStats
 
 	// Timeline is the recorded fabric timeline, non-nil only when
 	// Cfg.Telemetry asked for one.
@@ -200,18 +170,6 @@ func bigIncastPlan(cfg BigIncastConfig) (plan *topology.Plan, senders []netsim.N
 	plan.Name = fmt.Sprintf("bigincast-%ds-%dr", cfg.Senders, cfg.Racks)
 	senders = plan.Hosts[:cfg.Senders]
 	reducer = plan.Hosts[cfg.Racks*perRack] // first host of the reducer rack
-
-	if cfg.CorePropagation != 0 {
-		plan.SetCorePropagation(cfg.CorePropagation)
-	}
-	if cfg.ShortCutPropagation != 0 {
-		for i := range plan.Links {
-			if topology.IsSwitchID(plan.Links[i].A) && topology.IsSwitchID(plan.Links[i].B) {
-				plan.Links[i].Cfg.Propagation = cfg.ShortCutPropagation
-				break // the first core link: leaf 0's first spine uplink
-			}
-		}
-	}
 
 	ports := func(sw netsim.NodeID) int {
 		n := 0
@@ -252,7 +210,7 @@ func bigIncastPlan(cfg BigIncastConfig) (plan *topology.Plan, senders []netsim.N
 }
 
 // BigIncast runs one fabric-scale incast round and verifies the aggregate
-// is exact. Deterministic in (Seed, config) at any SimWorkers value.
+// is exact. Deterministic in (Seed, config).
 func BigIncast(cfg BigIncastConfig) (*BigIncastResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Senders < cfg.Racks {
@@ -265,10 +223,6 @@ func BigIncast(cfg BigIncastConfig) (*BigIncastResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := fb.fab.PartitionsDynamic(cfg.SimWorkers, cfg.Recut); err != nil {
-		return nil, err
-	}
-	nw.SetSyncProtocol(cfg.SyncProtocol)
 	ctl := controller.New(fb.fab, fb.programs)
 	if err := ctl.InstallRouting(); err != nil {
 		return nil, err
@@ -395,9 +349,6 @@ func BigIncast(cfg BigIncastConfig) (*BigIncastResult, error) {
 	res.Events = nw.Processed()
 	res.Frames = nw.TotalStats().TxFrames
 	res.ArenaStats = nw.ArenaStats()
-	res.Domains = nw.Domains()
-	res.Recuts = nw.Recuts()
-	res.Sync = nw.SyncStats()
 	return res, nil
 }
 
@@ -462,8 +413,6 @@ func init() {
 				PairsPerSender: scaledInt(150, tr.Scale, 30),
 				Vocab:          scaledInt(4096, tr.Scale, 320),
 				TableSize:      scaledInt(1024, tr.Scale, 64), // keep the collision ratio at small scale
-				SimWorkers:     tr.SimWorkers,
-				Recut:          tr.Recut,
 			}
 			dt := base
 			dt.PoolBytes = s.poolKiB << 10

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
-
-	"github.com/daiet/daiet/internal/topology"
 )
 
 // The runner's contract: for the same seed, every figure entry point must
@@ -18,31 +15,33 @@ import (
 // degrees are the parallelism levels compared against the sequential run.
 var degrees = []int{runtime.GOMAXPROCS(0), 3}
 
-func assertIdentical(t *testing.T, name, seq, par string, degree int) {
+// assertDegreesIdentical renders at parallelism 1, then at each of degrees
+// in a subtest of its own, and requires every render to equal the first.
+func assertDegreesIdentical(t *testing.T, name string, render func(t *testing.T, parallelism int) string) {
 	t.Helper()
-	if seq != par {
-		t.Fatalf("%s diverged at parallelism %d:\nsequential: %s\nparallel:   %s",
-			name, degree, seq, par)
+	seq := render(t, 1)
+	for _, d := range degrees {
+		t.Run(fmt.Sprintf("parallel-%d", d), func(t *testing.T) {
+			if par := render(t, d); seq != par {
+				t.Fatalf("%s diverged at parallelism %d:\nsequential: %s\nparallel:   %s",
+					name, d, seq, par)
+			}
+		})
 	}
 }
 
 func TestWorkerSweepDeterministic(t *testing.T) {
-	seqPts, err := Figure1WorkerSweep(7, 30, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := fmt.Sprintf("%+v", seqPts)
-	for _, d := range degrees {
-		parPts, err := Figure1WorkerSweep(7, 30, d)
+	assertDegreesIdentical(t, "worker sweep", func(t *testing.T, parallelism int) string {
+		pts, err := Figure1WorkerSweep(7, 30, parallelism)
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertIdentical(t, "worker sweep", seq, fmt.Sprintf("%+v", parPts), d)
-	}
+		return fmt.Sprintf("%+v", pts)
+	})
 }
 
 func TestFigure1cDeterministic(t *testing.T) {
-	render := func(parallelism int) string {
+	render := func(t *testing.T, parallelism int) string {
 		fig, err := Figure1c(Figure1cConfig{Seed: 2, Scale: 12, Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
@@ -50,16 +49,13 @@ func TestFigure1cDeterministic(t *testing.T) {
 		return fmt.Sprintf("%+v %+v %+v v=%d e=%d",
 			fig.PageRank, fig.SSSP, fig.WCC, fig.Vertices, fig.Edges)
 	}
-	seq := render(1)
-	for _, d := range degrees {
-		assertIdentical(t, "figure 1(c)", seq, render(d), d)
-	}
+	assertDegreesIdentical(t, "figure 1(c)", render)
 }
 
 func TestFigure3Deterministic(t *testing.T) {
 	// Everything except the wall-clock reduce timings must match exactly:
 	// the summaries, raw samples, corpus facts, and switch counters.
-	render := func(parallelism int) string {
+	render := func(t *testing.T, parallelism int) string {
 		res, err := Figure3(Figure3Config{Seed: 1, Scale: 0.2, Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
@@ -69,46 +65,39 @@ func TestFigure3Deterministic(t *testing.T) {
 			res.Samples.DataReduction, res.Samples.PacketsVsUDP, res.Samples.PacketsVsTCP,
 			res.TotalWords, res.UniqueWords, res.PairsIn, res.PairsSpilled)
 	}
-	seq := render(1)
-	for _, d := range degrees {
-		assertIdentical(t, "figure 3", seq, render(d), d)
-	}
+	assertDegreesIdentical(t, "figure 3", render)
 }
 
 func TestAblationsDeterministic(t *testing.T) {
-	renderReg := func(parallelism int) string {
+	renderReg := func(t *testing.T, parallelism int) string {
 		pts, err := AblationRegisterSize(3, []int{64, 1024}, parallelism)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fmt.Sprintf("%+v", pts)
 	}
-	renderPairs := func(parallelism int) string {
+	renderPairs := func(t *testing.T, parallelism int) string {
 		pts, err := AblationPairsPerPacket(3, []int{2, 10}, parallelism)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fmt.Sprintf("%+v", pts)
 	}
-	renderWidth := func(parallelism int) string {
+	renderWidth := func(t *testing.T, parallelism int) string {
 		pts, err := AblationKeyWidth(3, []int{8, 16}, parallelism)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fmt.Sprintf("%+v", pts)
 	}
-	seqReg, seqPairs, seqWidth := renderReg(1), renderPairs(1), renderWidth(1)
-	for _, d := range degrees {
-		assertIdentical(t, "register-size ablation", seqReg, renderReg(d), d)
-		assertIdentical(t, "pairs-per-packet ablation", seqPairs, renderPairs(d), d)
-		assertIdentical(t, "key-width ablation", seqWidth, renderWidth(d), d)
-	}
+	t.Run("register-size", func(t *testing.T) { assertDegreesIdentical(t, "register-size ablation", renderReg) })
+	t.Run("pairs-per-packet", func(t *testing.T) { assertDegreesIdentical(t, "pairs-per-packet ablation", renderPairs) })
+	t.Run("key-width", func(t *testing.T) { assertDegreesIdentical(t, "key-width ablation", renderWidth) })
 }
 
 // TestSpecEngineDeterministic extends the contract to the sweep engine:
 // every registered figure, executed through Spec.Execute at any
-// parallelism degree with per-fabric autotuned domains, must match its
-// golden section (up to declared Volatile metrics). This covers the
+// parallelism degree, must match its golden section (up to declared Volatile metrics). This covers the
 // figures' own inner fan-out too, since the specs pin it to 1 and put all
 // parallelism in the grid.
 func TestSpecEngineDeterministic(t *testing.T) {
@@ -118,7 +107,7 @@ func TestSpecEngineDeterministic(t *testing.T) {
 			for _, d := range degrees {
 				t.Run(fmt.Sprintf("parallel-%d", d), func(t *testing.T) {
 					cfg := goldenCfg
-					cfg.Parallelism, cfg.SimWorkers = d, 0 // 0: autotuned domains
+					cfg.Parallelism = d
 					checkFigureGolden(t, spec, cfg)
 				})
 			}
@@ -127,76 +116,33 @@ func TestSpecEngineDeterministic(t *testing.T) {
 }
 
 func TestMultiRackDeterministic(t *testing.T) {
-	render := func(parallelism int) string {
+	render := func(t *testing.T, parallelism int) string {
 		res, err := MultiRack(MultiRackConfig{Seed: 5, Vocab: 300, Parallelism: parallelism})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return fmt.Sprintf("%+v", *res)
 	}
-	seq := render(1)
-	for _, d := range degrees {
-		assertIdentical(t, "multirack", seq, render(d), d)
-	}
-}
-
-// ---- intra-simulation (partitioned event engine) conformance ----
-//
-// The contract extends inside a single simulation: partitioning one fabric
-// across event-engine domains (netsim.Network.Partition) must leave every
-// non-volatile result byte-identical to the sequential engine's golden
-// section. simWorkerCounts are the domain counts compared.
-
-var simWorkerCounts = []int{2, 4}
-
-// TestSpecEngineSimWorkersDeterministic is the registry-wide conformance
-// suite: every figure, executed through Spec.Execute on fabrics partitioned
-// into 2 and 4 domains (with the trial-level worker pool layered on top),
-// matches its golden section.
-func TestSpecEngineSimWorkersDeterministic(t *testing.T) {
-	for _, spec := range Specs() {
-		t.Run(spec.Name, func(t *testing.T) {
-			t.Parallel()
-			for _, w := range simWorkerCounts {
-				for _, par := range []int{1, 3} {
-					t.Run(fmt.Sprintf("sim-workers-%d/parallel-%d", w, par), func(t *testing.T) {
-						cfg := goldenCfg
-						cfg.SimWorkers, cfg.Parallelism = w, par
-						checkFigureGolden(t, spec, cfg)
-					})
-				}
-			}
-		})
-	}
+	assertDegreesIdentical(t, "multirack", render)
 }
 
 // renderMultiRack renders the full result struct — every counter, not
-// just the registry metrics — at one domain count.
-func renderMultiRack(t *testing.T, simWorkers int) string {
+// just the registry metrics.
+func renderMultiRack(t *testing.T) string {
 	t.Helper()
-	res, err := MultiRack(MultiRackConfig{Seed: 5, Vocab: 300, Parallelism: 1, SimWorkers: simWorkers})
+	res, err := MultiRack(MultiRackConfig{Seed: 5, Vocab: 300, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return fieldLines(*res)
 }
 
-// TestMultiRackSimWorkersDeterministic compares the full result struct
-// across domain counts with the sequential golden reference.
-func TestMultiRackSimWorkersDeterministic(t *testing.T) {
-	for _, w := range simWorkerCounts {
-		t.Run(fmt.Sprintf("sim-workers-%d", w), func(t *testing.T) {
-			checkGolden(t, refSection("multirack"), renderMultiRack(t, w))
-		})
-	}
-}
-
 // renderIncast renders an 8-sender incast with overflowing queues; pool
 // switches the switch to shared-memory DT admission (IncastConfig.PoolBytes),
 // where the ACK and flush streams contend in one pool.
-func renderIncast(t *testing.T, pool bool, simWorkers int) string {
+func renderIncast(t *testing.T, pool bool) string {
 	t.Helper()
-	cfg := IncastConfig{Seed: 3, Senders: 8, PairsPerSender: 300, QueueBytes: 4096, SimWorkers: simWorkers}
+	cfg := IncastConfig{Seed: 3, Senders: 8, PairsPerSender: 300, QueueBytes: 4096}
 	if pool {
 		cfg.PoolBytes, cfg.PoolAlpha = 16<<10, 0.5
 	}
@@ -204,58 +150,5 @@ func renderIncast(t *testing.T, pool bool, simWorkers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Cfg.SimWorkers = 0 // the knob itself is the only allowed difference
 	return fieldLines(*res)
-}
-
-// TestIncastSimWorkersDeterministic covers the loss/retransmission path:
-// drop counts, retransmissions and virtual completion time must survive
-// partitioning bit-for-bit even under synchronized fan-in with overflowing
-// queues.
-func TestIncastSimWorkersDeterministic(t *testing.T) {
-	for _, w := range simWorkerCounts {
-		t.Run(fmt.Sprintf("sim-workers-%d", w), func(t *testing.T) {
-			checkGolden(t, refSection("incast"), renderIncast(t, false, w))
-		})
-	}
-}
-
-// TestIncastPoolSimWorkersDeterministic is the same contract with the
-// switch running shared-memory DT admission: every counter still replays
-// identically across domain counts.
-func TestIncastPoolSimWorkersDeterministic(t *testing.T) {
-	for _, w := range simWorkerCounts {
-		t.Run(fmt.Sprintf("sim-workers-%d", w), func(t *testing.T) {
-			checkGolden(t, refSection("incast-pool"), renderIncast(t, true, w))
-		})
-	}
-}
-
-// TestSpecEngineRecutDeterministic extends the registry-wide conformance
-// suite with dynamic re-partitioning: every figure, executed with a live
-// measured-skew re-cut policy on a seeded random schedule at 2 and 4
-// domains, matches its golden section. Figures that pin their own engine
-// configuration (parallel-sim, megaincast) ignore the knob and pass
-// trivially; every fabric-building figure that honors Trial.Recut is
-// exercised for real.
-func TestSpecEngineRecutDeterministic(t *testing.T) {
-	for _, spec := range Specs() {
-		t.Run(spec.Name, func(t *testing.T) {
-			t.Parallel()
-			for _, w := range simWorkerCounts {
-				for _, recutSeed := range []uint64{1, 42} {
-					t.Run(fmt.Sprintf("sim-workers-%d/recut-seed-%d", w, recutSeed), func(t *testing.T) {
-						cfg := goldenCfg
-						cfg.SimWorkers = w
-						cfg.Recut = topology.RecutConfig{
-							Every:      3 * time.Microsecond,
-							MinSkewPct: 0, // re-cut on any measured imbalance
-							Seed:       recutSeed,
-						}
-						checkFigureGolden(t, spec, cfg)
-					})
-				}
-			}
-		})
-	}
 }

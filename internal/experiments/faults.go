@@ -40,9 +40,6 @@ type FaultScenarioConfig struct {
 	// TimeoutFrac sets the liveness DeadTimeout as a fraction of the
 	// fault-free completion (default 1/8).
 	TimeoutFrac float64
-	// SimWorkers partitions the fabric (0 = autotune); results are
-	// byte-identical at any value.
-	SimWorkers int
 }
 
 func (c FaultScenarioConfig) withDefaults() FaultScenarioConfig {
@@ -83,7 +80,6 @@ func faultsCluster(cfg FaultScenarioConfig) (*mapreduce.Cluster, error) {
 		Plan:        faultsPlan(),
 		TableSize:   1024,
 		Seed:        cfg.Seed,
-		SimWorkers:  cfg.SimWorkers,
 	})
 }
 
@@ -104,7 +100,7 @@ func faultsSplits(cfg FaultScenarioConfig) ([][]string, error) {
 
 // faultsRefCache memoizes fault-free reference runs: every point of one
 // trial shares the same reference (the fault knobs are zeroed out of the
-// key), so the sweep pays for it once per (seed, size, workers) config.
+// key), so the sweep pays for it once per (seed, size) config.
 var faultsRefCache sync.Map // FaultScenarioConfig -> *mapreduce.FTReport
 
 func faultsReference(cfg FaultScenarioConfig) (*mapreduce.FTReport, error) {
@@ -230,7 +226,6 @@ func init() {
 				LinkFlaps:   a.faults,
 				Stragglers:  a.faults,
 				TimeoutFrac: a.timeoutFrac,
-				SimWorkers:  tr.SimWorkers,
 			})
 			if err != nil {
 				return nil, err

@@ -26,9 +26,6 @@ type Figure3Config struct {
 	// Parallelism shards the three modes (DAIET, UDP baseline, TCP
 	// baseline) across the runner's pool (<= 0: GOMAXPROCS, 1: sequential).
 	Parallelism int
-	// SimWorkers partitions each mode's fabric into parallel event-engine
-	// domains (default 1; results are identical at any value).
-	SimWorkers int
 }
 
 func (c Figure3Config) withDefaults() Figure3Config {
@@ -119,7 +116,6 @@ func Figure3(cfg Figure3Config) (*Figure3Result, error) {
 			MaxPairsPerPacket: cfg.MaxPairsPerPkt,
 			MSS:               cfg.MSS,
 			Seed:              cfg.Seed,
-			SimWorkers:        cfg.SimWorkers,
 		})
 		if err != nil {
 			return nil, err
@@ -174,8 +170,7 @@ func init() {
 		Run: func(_ Point, tr Trial) (map[string]float64, error) {
 			// The grid is the fan-out level; each trial runs its three modes
 			// sequentially.
-			res, err := Figure3(Figure3Config{Seed: tr.Seed, Scale: tr.Scale,
-				Parallelism: 1, SimWorkers: tr.SimWorkers})
+			res, err := Figure3(Figure3Config{Seed: tr.Seed, Scale: tr.Scale, Parallelism: 1})
 			if err != nil {
 				return nil, err
 			}

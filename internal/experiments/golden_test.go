@@ -13,17 +13,16 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"github.com/daiet/daiet/internal/topology"
 )
 
 // testdata/figures.golden is the committed record of what the simulation
 // computes. It holds one section per registry figure (its
-// DeterministicString at goldenCfg) and one per sequential reference in
-// goldenRefs. TestFiguresGolden and TestReferencesGolden render every
-// section sequentially; the determinism suites compare their parallel,
-// partitioned and re-cut runs against the same sections. A change that
-// moves the simulation rewrites the file with
+// DeterministicString at goldenCfg), one per reference in goldenRefs, and
+// one per registered timeline (its line count and hash).
+// TestFiguresGolden, TestReferencesGolden and TestTimelinesGolden render
+// every section; the determinism suites compare their parallel runs
+// against the same sections. A change that moves the simulation rewrites
+// the file with
 //
 //	go test ./internal/experiments -run Golden -update
 //
@@ -42,19 +41,19 @@ const (
 )
 
 // goldenCfg is the configuration every figure section is rendered at.
-var goldenCfg = RunConfig{Seed: 7, Seeds: 2, Scale: 0.08, Parallelism: 1, SimWorkers: 1}
+var goldenCfg = RunConfig{Seed: 7, Seeds: 2, Scale: 0.08, Parallelism: 1}
 
-// goldenRefs are the sequential references the partitioned-engine tests
-// replay. At goldenCfg's scale the bigincast and tenants figures drop no
-// frame at any point, so these sections are where pool pressure, drops and
-// retransmissions are pinned.
+// goldenRefs render every counter of one trial result. At goldenCfg's
+// scale the bigincast and tenants figures drop no frame at any point, so
+// these sections are where pool pressure, drops and retransmissions are
+// pinned.
 var goldenRefs = map[string]func(t *testing.T) string{
-	"bigincast-256x4": func(t *testing.T) string { return renderBigIncast256x4(t, 1) },
-	"incast":          func(t *testing.T) string { return renderIncast(t, false, 1) },
-	"incast-pool":     func(t *testing.T) string { return renderIncast(t, true, 1) },
-	"megaincast":      func(t *testing.T) string { return renderMegaIncast(t, megaIncastPoints[0]) },
-	"multirack":       func(t *testing.T) string { return renderMultiRack(t, 1) },
-	"tenants":         func(t *testing.T) string { return renderTenants(t, 1, topology.RecutConfig{}) },
+	"bigincast-256x4": renderBigIncast256x4,
+	"incast":          func(t *testing.T) string { return renderIncast(t, false) },
+	"incast-pool":     func(t *testing.T) string { return renderIncast(t, true) },
+	"megaincast":      renderMegaIncast,
+	"multirack":       renderMultiRack,
+	"tenants":         renderTenants,
 }
 
 // TestFiguresGolden is the registry's sequential pass: every figure runs
@@ -71,23 +70,6 @@ func TestFiguresGolden(t *testing.T) {
 			if len(res.Points) != len(spec.Points) {
 				t.Fatalf("%d points, want %d", len(res.Points), len(spec.Points))
 			}
-			for _, pt := range res.Points {
-				if len(pt.Metrics) != len(spec.Metrics) {
-					t.Fatalf("point %s: %d metrics, want %d", pt.Label, len(pt.Metrics), len(spec.Metrics))
-				}
-				for _, m := range spec.Metrics {
-					e, ok := pt.Metrics[m]
-					if !ok {
-						t.Fatalf("point %s missing metric %q", pt.Label, m)
-					}
-					if e.N != goldenCfg.Seeds {
-						t.Fatalf("point %s metric %s: n=%d, want %d", pt.Label, m, e.N, goldenCfg.Seeds)
-					}
-					if !(e.Lo <= e.Mean && e.Mean <= e.Hi) {
-						t.Fatalf("point %s metric %s: interval %v not ordered", pt.Label, m, e)
-					}
-				}
-			}
 			var buf bytes.Buffer
 			res.WriteTable(&buf)
 			for _, m := range spec.Metrics {
@@ -95,18 +77,34 @@ func TestFiguresGolden(t *testing.T) {
 					t.Fatalf("table missing column %q:\n%s", m, buf.String())
 				}
 			}
-			checkGolden(t, figureSection(spec), res.DeterministicString(spec.Volatile))
+			checkFigurePoints(t, spec, res, func(t *testing.T, pt PointResult) {
+				if len(pt.Metrics) != len(spec.Metrics) {
+					t.Fatalf("%d metrics, want %d", len(pt.Metrics), len(spec.Metrics))
+				}
+				for _, m := range spec.Metrics {
+					e, ok := pt.Metrics[m]
+					if !ok {
+						t.Fatalf("missing metric %q", m)
+					}
+					if e.N != goldenCfg.Seeds {
+						t.Fatalf("metric %s: n=%d, want %d", m, e.N, goldenCfg.Seeds)
+					}
+					if !(e.Lo <= e.Mean && e.Mean <= e.Hi) {
+						t.Fatalf("metric %s: interval %v not ordered", m, e)
+					}
+				}
+			})
 		})
 	}
 }
 
-// TestReferencesGolden renders every sequential reference and checks it
-// against its golden section.
+// TestReferencesGolden renders every reference and checks it against its
+// golden section.
 func TestReferencesGolden(t *testing.T) {
 	for name, render := range goldenRefs {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			checkGolden(t, refSection(name), render(t))
+			checkGoldenParts(t, refSection(name), render(t), fieldOf, nil)
 		})
 	}
 }
@@ -122,7 +120,97 @@ func checkFigureGolden(t *testing.T, spec *Spec, cfg RunConfig) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, figureSection(spec), res.DeterministicString(spec.Volatile))
+	checkFigurePoints(t, spec, res, nil)
+}
+
+// checkFigurePoints compares res with the figure's golden section, one
+// subtest per point, then as a whole. check, when set, also runs on each
+// point in its subtest.
+func checkFigurePoints(t *testing.T, spec *Spec, res *FigureResult, check func(*testing.T, PointResult)) {
+	t.Helper()
+	points := make(map[string]PointResult, len(res.Points))
+	for _, pt := range res.Points {
+		points[pt.Label] = pt
+	}
+	checkGoldenParts(t, figureSection(spec), res.DeterministicString(spec.Volatile), pointOf, func(t *testing.T, label string) {
+		if check != nil {
+			check(t, points[label])
+		}
+	})
+}
+
+// checkGoldenParts compares got with the golden section one part at a
+// time, a subtest per part of got, then as a whole. part names the part a
+// line belongs to ("" for none), and each, when set, also runs in every
+// part's subtest. A change that moves the simulation thus names each point
+// or field it moved, not only the first differing line; the whole-section
+// check catches parts that went missing or changed order.
+func checkGoldenParts(t *testing.T, section, got string, part func(line string) string, each func(t *testing.T, name string)) {
+	t.Helper()
+	gotParts, names := splitParts(got, part)
+	var want map[string]string
+	compare := !*update && runtime.GOARCH == goldenArch
+	if compare {
+		g, err := loadGolden()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ = splitParts(g.sections[section], part)
+	}
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			if each != nil {
+				each(t, name)
+			}
+			if compare && gotParts[name] != want[name] {
+				t.Errorf("%s section %q, %s:\ngolden:\n%sgot:\n%s", goldenPath, section, name, orNone(want[name]), gotParts[name])
+			}
+		})
+	}
+	checkGolden(t, section, got)
+}
+
+func orNone(lines string) string {
+	if lines == "" {
+		return "<none>\n"
+	}
+	return lines
+}
+
+// splitParts groups text's lines by part, keeping the order in which
+// parts first appear. Lines of part "" are dropped.
+func splitParts(text string, part func(line string) string) (parts map[string]string, names []string) {
+	parts = map[string]string{}
+	for _, line := range strings.SplitAfter(text, "\n") {
+		name := part(line)
+		if name == "" {
+			continue
+		}
+		if _, ok := parts[name]; !ok {
+			names = append(names, name)
+		}
+		parts[name] += line
+	}
+	return parts, names
+}
+
+// pointOf names the point of a DeterministicString metric line,
+// "<label> x=<x> <metric>: n=...", by its label; the header line has none.
+func pointOf(line string) string {
+	head, _, ok := strings.Cut(line, ": n=")
+	if !ok {
+		return ""
+	}
+	if i := strings.LastIndex(head, " x="); i >= 0 {
+		return head[:i]
+	}
+	return ""
+}
+
+// fieldOf names the field of a fieldLines line, "<field>: <value>".
+func fieldOf(line string) string {
+	field, _, _ := strings.Cut(line, ": ")
+	return strings.TrimSuffix(field, "\n")
 }
 
 // fieldLines renders a result struct one top-level field per line, so a
@@ -274,6 +362,9 @@ func (g *goldenFile) write() error {
 	}
 	for name := range goldenRefs {
 		names = append(names, refSection(name))
+	}
+	for _, s := range TimelineSpecs() {
+		names = append(names, timelineSection(s.Name))
 	}
 	sort.Strings(names)
 	var b strings.Builder

@@ -78,14 +78,6 @@ type IncastConfig struct {
 	PoolBytes   int
 	PoolReserve int
 	PoolAlpha   float64
-	// SimWorkers partitions the fabric into parallel event-engine domains
-	// (0 autotunes; a single-switch plan autotunes to sequential). When
-	// cut explicitly, the senders themselves spread across domains;
-	// results are byte-identical at any value.
-	SimWorkers int
-	// Recut enables measured-skew dynamic re-partitioning (zero value
-	// disables); results stay byte-identical under any re-cut schedule.
-	Recut topology.RecutConfig
 }
 
 func (c IncastConfig) withDefaults() IncastConfig {
@@ -189,9 +181,6 @@ func Incast(cfg IncastConfig) (*IncastResult, error) {
 		return nil, err
 	}
 	programs, hosts, fab := fb.programs, fb.hosts, fb.fab
-	if err := fab.PartitionsDynamic(cfg.SimWorkers, cfg.Recut); err != nil {
-		return nil, err
-	}
 	ctl := controller.New(fab, programs)
 	if err := ctl.InstallRouting(); err != nil {
 		return nil, err
@@ -232,9 +221,8 @@ func Incast(cfg IncastConfig) (*IncastResult, error) {
 	}
 	want := map[string]uint32{}
 	senders := make([]*core.ReliableSender, len(workers))
-	// One error slot per sender: a jittered feed runs on its own worker's
-	// partition domain, so a shared variable would be a write-write race
-	// across domains. Slots are only read after Run's final barrier.
+	// One error slot per sender, checked once the run has drained, so a
+	// failed feed is reported with its sender's index.
 	feedErrs := make([]error, len(workers))
 	for i, w := range workers {
 		mux := core.NewAckMux(hosts[w])
@@ -262,8 +250,8 @@ func Incast(cfg IncastConfig) (*IncastResult, error) {
 		}
 		// Staggered start: each sender begins at its own deterministic
 		// offset, drawn from its seed stream after the pairs so jitter
-		// never perturbs the workload itself. Scheduled at setup on the
-		// sender's own node, so it lands on the right partition domain.
+		// never perturbs the workload itself. Scheduled at setup as a timer
+		// owned by the sender's own node.
 		delay := netsim.Time(rng.Int63n(int64(netsim.Duration(cfg.StartJitter)) + 1))
 		nw.NodeAfter(w, delay, feed)
 	}
@@ -359,8 +347,6 @@ func init() {
 				Seed:           tr.Seed,
 				Senders:        scaledInt(24, tr.Scale, 4),
 				PairsPerSender: scaledInt(1200, tr.Scale, 120),
-				SimWorkers:     tr.SimWorkers,
-				Recut:          tr.Recut,
 			}
 			small := base
 			small.QueueBytes = int(pt.X)
@@ -407,8 +393,6 @@ func init() {
 				Seed:           tr.Seed,
 				Senders:        scaledInt(24, tr.Scale, 4),
 				PairsPerSender: scaledInt(1200, tr.Scale, 120),
-				SimWorkers:     tr.SimWorkers,
-				Recut:          tr.Recut,
 			}
 			jittered := base
 			jittered.QueueBytes = 4096

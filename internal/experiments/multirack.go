@@ -49,11 +49,6 @@ type MultiRackConfig struct {
 	// Parallelism shards the baseline and DAIET trials across the runner's
 	// pool (<= 0: GOMAXPROCS, 1: sequential).
 	Parallelism int
-	// SimWorkers partitions each trial's leaf-spine fabric into parallel
-	// event-engine domains along the rack cut (0 autotunes; 1 forces the
-	// sequential engine). Results are byte-identical at any value; only
-	// wall-clock changes.
-	SimWorkers int
 }
 
 func (c MultiRackConfig) withDefaults() MultiRackConfig {
@@ -119,7 +114,6 @@ func MultiRack(cfg MultiRackConfig) (*MultiRackResult, error) {
 			Plan:        plan,
 			TableSize:   cfg.TableSize,
 			Seed:        cfg.Seed,
-			SimWorkers:  cfg.SimWorkers,
 		})
 		if err != nil {
 			return trial{}, err
@@ -179,7 +173,6 @@ func init() {
 				Seed:        tr.Seed,
 				Vocab:       scaledInt(800, tr.Scale, 100),
 				Parallelism: 1,
-				SimWorkers:  tr.SimWorkers,
 			})
 			if err != nil {
 				return nil, err

@@ -8,7 +8,6 @@ import (
 
 	"github.com/daiet/daiet/internal/runner"
 	"github.com/daiet/daiet/internal/stats"
-	"github.com/daiet/daiet/internal/topology"
 )
 
 // This file is the declarative sweep framework every figure runs on. A
@@ -49,7 +48,7 @@ type Spec struct {
 	// Volatile names the subset of Metrics derived from host wall-clock
 	// (reduce-phase timings): they are excluded from determinism
 	// comparisons, which assert bit-identical results across parallelism
-	// degrees and intra-sim worker counts.
+	// degrees.
 	Volatile []string
 	// Run executes one trial of pt under the given Trial parameters. It
 	// returns a value for every declared metric.
@@ -63,17 +62,6 @@ type Trial struct {
 	// Scale in (0, 1] shrinks the problem size (1 = the paper-scale run;
 	// smoke tests use small fractions).
 	Scale float64
-	// SimWorkers partitions each simulated fabric the trial builds into
-	// this many parallel event-engine domains (1 = the sequential engine;
-	// 0 = autotune: min(rack-cut units, GOMAXPROCS) per fabric). The
-	// determinism contract covers it: every non-Volatile metric is
-	// byte-identical at any worker count. Figures that do not build a
-	// netsim fabric ignore it.
-	SimWorkers int
-	// Recut enables measured-skew dynamic re-partitioning of each fabric's
-	// domain cut (zero value disables). Covered by the same determinism
-	// contract: any re-cut schedule replays byte-identically.
-	Recut topology.RecutConfig
 }
 
 // RunConfig parameterizes one Spec execution.
@@ -82,17 +70,6 @@ type RunConfig struct {
 	Seeds       int     // trials per point (default DefaultSeeds)
 	Scale       float64 // problem-size multiplier (default 1)
 	Parallelism int     // runner degree (<= 0: GOMAXPROCS, 1: sequential)
-	// SimWorkers is the intra-simulation parallelism: each trial's fabric
-	// runs partitioned across this many event-engine domains. 0 (the
-	// default) autotunes per fabric — min(rack-cut units, GOMAXPROCS), via
-	// topology.Plan.AutoPartitions — and 1 forces the sequential engine.
-	// It composes with Parallelism (trials × domains goroutines), and
-	// never changes results — only wall-clock.
-	SimWorkers int
-	// Recut enables measured-skew dynamic re-partitioning on every fabric
-	// the trials build (zero value disables). Results are unchanged by
-	// construction; only the domain cut adapts to measured load.
-	Recut topology.RecutConfig
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -101,9 +78,6 @@ func (c RunConfig) withDefaults() RunConfig {
 	}
 	if c.Scale <= 0 {
 		c.Scale = 1
-	}
-	if c.SimWorkers < 0 {
-		c.SimWorkers = 0 // autotune
 	}
 	return c
 }
@@ -140,7 +114,7 @@ func (s *Spec) Execute(cfg RunConfig) (*FigureResult, error) {
 	grid, err := runner.Grid(len(s.Points), cfg.Seeds, cfg.Parallelism,
 		func(point, trial int) (map[string]float64, error) {
 			seed := runner.ShardSeed(cfg.Seed, trial)
-			m, err := s.Run(s.Points[point], Trial{Seed: seed, Scale: cfg.Scale, SimWorkers: cfg.SimWorkers, Recut: cfg.Recut})
+			m, err := s.Run(s.Points[point], Trial{Seed: seed, Scale: cfg.Scale})
 			if err != nil {
 				return nil, fmt.Errorf("%s[%s] trial %d (seed %#x): %w",
 					s.Name, s.Points[point].Label, trial, seed, err)

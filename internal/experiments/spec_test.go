@@ -25,8 +25,6 @@ var wantSpecs = []string{
 	"incast-jitter",
 	"megaincast",
 	"multirack",
-	"parallel-sim",
-	"syncproto",
 	"tenants",
 }
 

@@ -3,18 +3,35 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"github.com/daiet/daiet/internal/telemetry"
 )
 
-// TestTimelineSpecsSimWorkersDeterministic is the telemetry conformance
-// suite the tentpole promises: every registered timeline — probe series
-// AND sampled per-frame hop traces — is byte-identical at 1/2/4 engine
-// domains and under a measured-skew re-cut schedule. Only the
-// DeterministicBytes section is compared; the engine-diagnostics section
-// is cut-dependent by design.
-func TestTimelineSpecsSimWorkersDeterministic(t *testing.T) {
+// timelineTrial is the trial every registered timeline's golden section
+// is recorded at.
+var timelineTrial = Trial{Seed: 11, Scale: 0.08}
+
+// timelineSection names a timeline's golden section.
+func timelineSection(name string) string { return refSection("timeline-" + name) }
+
+// timelineDigest renders a timeline's deterministic section as its line
+// count and FNV-64a: the golden pins every probe series and sampled hop
+// record without storing them. The hash skips the first line, the format
+// version, so a format change that keeps every record keeps the digest.
+func timelineDigest(tl *telemetry.Timeline) string {
+	b := tl.DeterministicBytes()
+	_, body, _ := bytes.Cut(b, []byte("\n"))
+	h := fnv.New64a()
+	h.Write(body)
+	return fmt.Sprintf("lines: %d\nfnv64a: %#016x\n", bytes.Count(b, []byte("\n")), h.Sum64())
+}
+
+// TestTimelinesGolden records every registered timeline — probe series
+// AND sampled per-frame hop traces — and checks its deterministic section
+// against its golden digest. The engine-diagnostics section is excluded.
+func TestTimelinesGolden(t *testing.T) {
 	specs := TimelineSpecs()
 	if len(specs) < 2 {
 		t.Fatalf("timeline registry has %d entries, want >= 2", len(specs))
@@ -23,48 +40,16 @@ func TestTimelineSpecsSimWorkersDeterministic(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
-			base := Trial{Seed: 11, Scale: 0.08, SimWorkers: 1}
-			tl, err := spec.Run(base)
+			tl, err := spec.Run(timelineTrial)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(tl.Records) == 0 {
 				t.Fatal("timeline recorded nothing")
 			}
-			seq := tl.DeterministicBytes()
-			variants := []Trial{
-				{Seed: base.Seed, Scale: base.Scale, SimWorkers: 2},
-				{Seed: base.Seed, Scale: base.Scale, SimWorkers: 4},
-				{Seed: base.Seed, Scale: base.Scale, SimWorkers: 4, Recut: recutSchedule(base.Seed)},
-			}
-			for _, tr := range variants {
-				tl, err := spec.Run(tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := tl.DeterministicBytes()
-				if !bytes.Equal(seq, got) {
-					t.Fatalf("%s timeline diverged at sim-workers %d (recut=%v): %d vs %d bytes\nfirst divergence: %s",
-						spec.Name, tr.SimWorkers, tr.Recut.Every != 0, len(seq), len(got), firstDiff(seq, got))
-				}
-			}
+			checkGoldenParts(t, timelineSection(spec.Name), timelineDigest(tl), fieldOf, nil)
 		})
 	}
-}
-
-// firstDiff locates the first differing line for a readable failure.
-func firstDiff(a, b []byte) string {
-	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
-	n := len(la)
-	if len(lb) < n {
-		n = len(lb)
-	}
-	for i := 0; i < n; i++ {
-		if !bytes.Equal(la[i], lb[i]) {
-			return fmt.Sprintf("line %d:\n  a: %s\n  b: %s", i+1, la[i], lb[i])
-		}
-	}
-	return fmt.Sprintf("line counts differ: %d vs %d", len(la), len(lb))
 }
 
 // TestTelemetryObserverEffect pins the observer-neutrality contract: a
@@ -75,7 +60,7 @@ func firstDiff(a, b []byte) string {
 func TestTelemetryObserverEffect(t *testing.T) {
 	cfg := BigIncastConfig{
 		Seed: 9, Senders: 16, Racks: 2, PairsPerSender: 30,
-		Vocab: 320, TableSize: 64, SimWorkers: 2,
+		Vocab: 320, TableSize: 64,
 	}
 	plain, err := BigIncast(cfg)
 	if err != nil {
@@ -110,7 +95,7 @@ func TestTimelineHasFigureSubstance(t *testing.T) {
 	if spec == nil {
 		t.Fatal("tenants timeline spec missing")
 	}
-	tl, err := spec.Run(Trial{Seed: 11, Scale: 0.08, SimWorkers: 1})
+	tl, err := spec.Run(timelineTrial)
 	if err != nil {
 		t.Fatal(err)
 	}

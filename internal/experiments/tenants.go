@@ -34,8 +34,7 @@ import (
 //
 // Everything is deterministic in (Seed, config): completions are virtual
 // time, per-tenant drop attribution comes from the pool's per-class
-// counters, and the registry-wide determinism suites hold the results
-// byte-identical at any -sim-workers value and under re-cut schedules.
+// counters, and the figure golden pins the results.
 
 // TenantsConfig sizes one two-tenant trial.
 type TenantsConfig struct {
@@ -66,9 +65,6 @@ type TenantsConfig struct {
 	PoolBytes int // switch shared memory (default 64 KiB)
 	// QueueBytes sizes the poolless host uplinks (default 64 MiB).
 	QueueBytes int
-
-	SimWorkers int
-	Recut      topology.RecutConfig
 
 	// VictimOnly drops the aggressor's traffic and tree: the uncontended
 	// reference the completion-inflation metric divides by.
@@ -184,9 +180,6 @@ func Tenants(cfg TenantsConfig) (*TenantsResult, error) {
 	nw := netsim.New(cfg.Seed)
 	fb, err := buildDaietFabric(nw, plan)
 	if err != nil {
-		return nil, err
-	}
-	if err := fb.fab.PartitionsDynamic(cfg.SimWorkers, cfg.Recut); err != nil {
 		return nil, err
 	}
 	ctl := controller.New(fb.fab, fb.programs)
@@ -458,8 +451,6 @@ func init() {
 				AggPairs:      scaledInt(600, tr.Scale, 80),
 				VictimReserve: s.carve,
 				AggAlpha:      s.alpha,
-				SimWorkers:    tr.SimWorkers,
-				Recut:         tr.Recut,
 			}
 			res, err := Tenants(base)
 			if err != nil {

@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"fmt"
 	"testing"
-	"time"
-
-	"github.com/daiet/daiet/internal/topology"
 )
 
 // TestTenantsVictimProtected is the acceptance property of the hard-carve
@@ -67,47 +63,29 @@ func TestJainIndex(t *testing.T) {
 		{"skewed", []float64{4, 1, 1}, 2.0 / 3.0},
 	}
 	for _, tc := range cases {
-		got := jainIndex(tc.xs)
-		if diff := got - tc.want; diff > 1e-12 || diff < -1e-12 {
-			t.Errorf("%s: jainIndex(%v) = %v, want %v", tc.name, tc.xs, got, tc.want)
-		}
-		if got != got {
-			t.Errorf("%s: jainIndex(%v) is NaN", tc.name, tc.xs)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			got := jainIndex(tc.xs)
+			if diff := got - tc.want; diff > 1e-12 || diff < -1e-12 {
+				t.Errorf("jainIndex(%v) = %v, want %v", tc.xs, got, tc.want)
+			}
+			if got != got {
+				t.Errorf("jainIndex(%v) is NaN", tc.xs)
+			}
+		})
 	}
 }
 
 // renderTenants renders every counter of a contended two-tenant round —
-// per-tenant drops, per-class pool attribution, completions — at one
-// domain count and re-cut schedule.
-func renderTenants(t *testing.T, simWorkers int, recut topology.RecutConfig) string {
+// per-tenant drops, per-class pool attribution, completions.
+func renderTenants(t *testing.T) string {
 	t.Helper()
 	res, err := Tenants(TenantsConfig{
 		Seed: 9, VictimSenders: 3, VictimPairs: 120,
 		AggSenders: 8, AggPairs: 300,
 		VictimReserve: 1 << 10, AggAlpha: 32,
-		SimWorkers: simWorkers, Recut: recut,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Cfg.SimWorkers = 0
-	res.Cfg.Recut = topology.RecutConfig{}
 	return fieldLines(*res)
-}
-
-// TestTenantsSimWorkersRecutDeterministic holds the tenants experiment to
-// the partition-invariance contract: every counter matches the sequential
-// golden reference at any -sim-workers value and under a measured-skew
-// re-cut schedule.
-func TestTenantsSimWorkersRecutDeterministic(t *testing.T) {
-	for _, w := range []int{2, 4, 8} {
-		t.Run(fmt.Sprintf("sim-workers-%d", w), func(t *testing.T) {
-			checkGolden(t, refSection("tenants"), renderTenants(t, w, topology.RecutConfig{}))
-		})
-	}
-	t.Run("recut", func(t *testing.T) {
-		recut := topology.RecutConfig{Every: 3 * time.Microsecond, MinSkewPct: 0, Seed: 42}
-		checkGolden(t, refSection("tenants"), renderTenants(t, 4, recut))
-	})
 }

@@ -7,16 +7,14 @@ import (
 
 	"github.com/daiet/daiet/internal/netsim"
 	"github.com/daiet/daiet/internal/telemetry"
-	"github.com/daiet/daiet/internal/topology"
 )
 
 // Timeline specs are the observability counterpart of the figure
 // registry: each entry runs one representative recorded trial of a
 // figure's workload and returns its telemetry timeline. cmd/daiet-bench
 // -telemetry writes each as <dir>/<name>_timeline.txt and cmd/daiet-trace
-// renders those into Chrome trace JSON / CSV; the conformance suite holds
-// every entry's DeterministicBytes identical across -sim-workers values
-// and re-cut schedules.
+// renders those into Chrome trace JSON / CSV; the figure golden pins each
+// entry's DeterministicBytes as a line count and hash.
 
 // TimelineSpec declares one recordable workload.
 type TimelineSpec struct {
@@ -82,8 +80,6 @@ func init() {
 				AggPairs:      scaledInt(600, tr.Scale, 80),
 				VictimReserve: 2048,
 				AggAlpha:      1024,
-				SimWorkers:    tr.SimWorkers,
-				Recut:         tr.Recut,
 				Telemetry:     artifactTelemetry(tr.Seed),
 			})
 			if err != nil {
@@ -96,9 +92,7 @@ func init() {
 		Name:  "megaincast",
 		Title: "leaf/spine pool occupancy and sampled frame paths through the reliable tree",
 		Run: func(tr Trial) (*telemetry.Timeline, error) {
-			cfg := megaIncastConfig(tr.Seed, tr.Scale,
-				megaIncastPoint{label: "recorded", workers: tr.SimWorkers})
-			cfg.Recut = tr.Recut
+			cfg := megaIncastConfig(tr.Seed, tr.Scale)
 			cfg.Telemetry = artifactTelemetry(tr.Seed)
 			res, err := BigIncast(cfg)
 			if err != nil {
@@ -107,14 +101,4 @@ func init() {
 			return res.Timeline, nil
 		},
 	})
-}
-
-// recutSchedule is the jittered re-cut configuration the telemetry
-// conformance tests replay timelines under.
-func recutSchedule(seed uint64) topology.RecutConfig {
-	return topology.RecutConfig{
-		Every:      200 * time.Microsecond,
-		MinSkewPct: 5,
-		Seed:       seed ^ 0x9e3779b97f4a7c15,
-	}
 }

@@ -10,13 +10,10 @@
 //
 //   - Determinism: a Schedule is pure data, Generate is a pure function of
 //     its seed, and events are applied in a canonical order at virtual
-//     times — so a fault run is as reproducible as a fault-free one, and
-//     byte-identical at any Network partition count (-sim-workers).
+//     times — so a fault run is as reproducible as a fault-free one.
 //   - Quiescent application: the Injector mutates link, switch, and host
-//     state only between Network.RunUntil windows, when no event-engine
-//     domain goroutine is executing. That is exactly how an out-of-band
-//     control plane behaves, and it is what keeps partitioned runs
-//     conformant — fault application never races a domain heap.
+//     state only between Network.RunUntil windows, never from inside an
+//     event. That is exactly how an out-of-band control plane behaves.
 //
 // The control loop a driver runs (see mapreduce.RunJobFT):
 //

@@ -40,15 +40,6 @@ type ClusterConfig struct {
 	// loss-free evaluation depends on ("we do not address the issue of
 	// packet losses"). Set a small value to study incast loss instead.
 	QueueBytes int
-	// SimWorkers partitions the fabric into this many parallel event-engine
-	// domains along the topology's rack cut. 0 (the default) autotunes:
-	// min(rack-cut units, GOMAXPROCS); 1 forces the sequential engine.
-	// Results are byte-identical at any value; only wall-clock changes.
-	SimWorkers int
-	// Recut enables measured-skew dynamic re-partitioning of the domain
-	// cut (topology.RecutConfig zero value disables). Like SimWorkers it
-	// never changes results, only how the wall-clock work is spread.
-	Recut topology.RecutConfig
 	// SwitchPool, when non-nil, attaches a shared-memory buffer pool of
 	// this size to every switch (netsim Dynamic-Threshold admission across
 	// the switch's egress ports) instead of the per-port QueueBytes FIFOs.
@@ -154,9 +145,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				return nil, err
 			}
 		}
-	}
-	if err := c.Fab.PartitionsDynamic(cfg.SimWorkers, cfg.Recut); err != nil {
-		return nil, err
 	}
 	c.Mappers = plan.Hosts[:cfg.NumMappers]
 	c.Reducers = plan.Hosts[cfg.NumMappers : cfg.NumMappers+cfg.NumReducers]

@@ -42,8 +42,8 @@ import (
 //   - Rounds stuck past RoundTimeout (loss windows too short for the
 //     liveness timeout to blame a component) are aborted and re-driven.
 //
-// All control actions happen at quiescent RunUntil control points, so a
-// fault run is deterministic and byte-identical at any -sim-workers value.
+// All control actions happen at RunUntil control points, between event
+// windows, so a fault run is deterministic in its inputs.
 
 // FTConfig tunes the fault-tolerant driver. The zero value gets defaults.
 type FTConfig struct {
@@ -134,7 +134,7 @@ type ftTree struct {
 	tainted bool
 
 	done         bool
-	lastComplete netsim.Time // written by the reducer's domain at END arrival
+	lastComplete netsim.Time // written by the reducer's END handler
 }
 
 // RunJobFT executes one DAIET-mode job under the given fault schedule and

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +18,7 @@ func ftPlan() *topology.Plan {
 	return topology.LeafSpine(2, 2, 6, netsim.LinkConfig{QueueBytes: 64 << 20})
 }
 
-func ftCluster(t *testing.T, simWorkers int) *Cluster {
+func ftCluster(t *testing.T) *Cluster {
 	t.Helper()
 	cl, err := NewCluster(ClusterConfig{
 		NumMappers:  8,
@@ -25,7 +26,6 @@ func ftCluster(t *testing.T, simWorkers int) *Cluster {
 		Plan:        ftPlan(),
 		TableSize:   512,
 		Seed:        1,
-		SimWorkers:  simWorkers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,16 +42,28 @@ func renderOutputs(rep *FTReport) string {
 	return s
 }
 
+// checkDigest compares a rendered run's length and FNV-64a with the
+// digest recorded for it, so a change to any counter, output pair or
+// virtual time fails the test.
+func checkDigest(t *testing.T, name, got, want string) {
+	t.Helper()
+	h := fnv.New64a()
+	h.Write([]byte(got))
+	if d := fmt.Sprintf("%d bytes %#016x", len(got), h.Sum64()); d != want {
+		t.Fatalf("%s: digest %s, recorded %s\nrendered:\n%s", name, d, want, got)
+	}
+}
+
 // TestRunJobFTFaultFree: with an empty schedule the FT driver is just a
 // one-round DAIET shuffle; its outputs must match the plain RunJob path.
 func TestRunJobFTFaultFree(t *testing.T) {
 	splits, _ := miniCorpus(t, 8, 2, 150, 5, 512)
 
-	ref, err := ftCluster(t, 1).RunJob(WordCount, splits, ModeDAIET)
+	ref, err := ftCluster(t).RunJob(WordCount, splits, ModeDAIET)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ftCluster(t, 1).RunJobFT(WordCount, splits, nil, FTConfig{})
+	rep, err := ftCluster(t).RunJobFT(WordCount, splits, nil, FTConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +83,7 @@ func TestRunJobFTFaultFree(t *testing.T) {
 // tree (deterministic: planning is a pure function of the fabric).
 func treeSpine(t *testing.T) netsim.NodeID {
 	t.Helper()
-	cl := ftCluster(t, 1)
+	cl := ftCluster(t)
 	plan, err := cl.Ctl.PlanTree(cl.Reducers[0], cl.Mappers)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +106,7 @@ func treeSpine(t *testing.T) netsim.NodeID {
 func TestRunJobFTSwitchCrashFailover(t *testing.T) {
 	splits, _ := miniCorpus(t, 8, 2, 150, 5, 512)
 
-	ref, err := ftCluster(t, 1).RunJobFT(WordCount, splits, nil, FTConfig{})
+	ref, err := ftCluster(t).RunJobFT(WordCount, splits, nil, FTConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +121,7 @@ func TestRunJobFTSwitchCrashFailover(t *testing.T) {
 	}
 	cfg := FTConfig{DeadTimeout: time.Duration(ref.Completion / 6)}
 
-	rep, err := ftCluster(t, 1).RunJobFT(WordCount, splits, sched, cfg)
+	rep, err := ftCluster(t).RunJobFT(WordCount, splits, sched, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +145,11 @@ func TestRunJobFTSwitchCrashFailover(t *testing.T) {
 func TestRunJobFTLinkFlapOrphanedMapper(t *testing.T) {
 	splits, _ := miniCorpus(t, 8, 2, 150, 5, 512)
 
-	ref, err := ftCluster(t, 1).RunJobFT(WordCount, splits, nil, FTConfig{})
+	ref, err := ftCluster(t).RunJobFT(WordCount, splits, nil, FTConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := ftCluster(t, 1)
+	cl := ftCluster(t)
 	mapper, leaf := cl.Mappers[0], topology.SwitchBase
 	sched := faults.Schedule{
 		{At: ref.Completion / 3, Kind: faults.LinkDown, A: mapper, B: leaf},
@@ -157,7 +169,7 @@ func TestRunJobFTLinkFlapOrphanedMapper(t *testing.T) {
 // switch runs Dynamic-Threshold admission against one pool instead of
 // per-port FIFOs. Sized generously enough that the job completes, small
 // enough that a crash finds frames resident in the memory.
-func ftPoolCluster(t *testing.T, simWorkers int) *Cluster {
+func ftPoolCluster(t *testing.T) *Cluster {
 	t.Helper()
 	cl, err := NewCluster(ClusterConfig{
 		NumMappers:  8,
@@ -165,7 +177,6 @@ func ftPoolCluster(t *testing.T, simWorkers int) *Cluster {
 		Plan:        ftPlan(),
 		TableSize:   512,
 		Seed:        1,
-		SimWorkers:  simWorkers,
 		SwitchPool:  &netsim.PoolConfig{TotalBytes: 256 << 10, ReserveBytes: 2 << 10, Alpha: 2},
 	})
 	if err != nil {
@@ -176,12 +187,13 @@ func ftPoolCluster(t *testing.T, simWorkers int) *Cluster {
 
 // TestRunJobFTSwitchCrashPoolReset: with shared-memory switch buffers, a
 // mid-job spine crash must empty the crashed switch's pool occupancy
-// (Program.Crash → Switch.ResetBuffers) and the FT job must still produce
-// byte-identical output — across event-engine domain counts too.
+// (Program.Crash → Switch.ResetBuffers), the FT job must still produce
+// the fault-free output, and the whole run — report, pool statistics,
+// outputs — must match its recorded digest.
 func TestRunJobFTSwitchCrashPoolReset(t *testing.T) {
 	splits, _ := miniCorpus(t, 8, 2, 150, 5, 512)
 
-	ref, err := ftPoolCluster(t, 1).RunJobFT(WordCount, splits, nil, FTConfig{})
+	ref, err := ftPoolCluster(t).RunJobFT(WordCount, splits, nil, FTConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,8 +204,8 @@ func TestRunJobFTSwitchCrashPoolReset(t *testing.T) {
 	}
 	cfg := FTConfig{DeadTimeout: time.Duration(ref.Completion / 6)}
 
-	render := func(simWorkers int) string {
-		cl := ftPoolCluster(t, simWorkers)
+	render := func() string {
+		cl := ftPoolCluster(t)
 		rep, err := cl.RunJobFT(WordCount, splits, sched, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -216,23 +228,18 @@ func TestRunJobFTSwitchCrashPoolReset(t *testing.T) {
 		}
 		return fmt.Sprintf("%+v\n%s%s", *rep, pools, renderOutputs(rep))
 	}
-	seq := render(1)
-	if got, want := renderOutputs(ref), seq; !strings.Contains(want, got) {
-		t.Fatalf("faulted pooled run output != fault-free output:\nwant:\n%s\nin:\n%s", got, want)
+	got := render()
+	if want := renderOutputs(ref); !strings.Contains(got, want) {
+		t.Fatalf("faulted pooled run output != fault-free output:\nwant:\n%s\nin:\n%s", want, got)
 	}
-	for _, w := range []int{2, 4} {
-		if got := render(w); got != seq {
-			t.Fatalf("pooled FT run diverged at sim-workers %d:\nsequential:\n%s\npartitioned:\n%s", w, seq, got)
-		}
-	}
+	checkDigest(t, "pooled crash run", got, "12480 bytes 0x97d94153a14b05a1")
 }
 
-// TestRunJobFTSimWorkersDeterministic: the same faulted run must be
-// byte-identical — every counter, every output pair, every virtual time —
-// across event-engine domain counts.
-func TestRunJobFTSimWorkersDeterministic(t *testing.T) {
+// TestRunJobFTDeterministic: a faulted run — every counter, every output
+// pair, every virtual time — matches its recorded digest.
+func TestRunJobFTDeterministic(t *testing.T) {
 	splits, _ := miniCorpus(t, 8, 2, 150, 5, 512)
-	ref, err := ftCluster(t, 1).RunJobFT(WordCount, splits, nil, FTConfig{})
+	ref, err := ftCluster(t).RunJobFT(WordCount, splits, nil, FTConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,33 +247,25 @@ func TestRunJobFTSimWorkersDeterministic(t *testing.T) {
 	sched := faults.Schedule{
 		{At: ref.Completion / 2, Kind: faults.SwitchCrash, Node: spine},
 		{At: 4 * ref.Completion, Kind: faults.SwitchRestart, Node: spine},
-		{At: ref.Completion / 3, Kind: faults.HostPause, Node: ftCluster(t, 1).Mappers[1]},
-		{At: 2 * ref.Completion, Kind: faults.HostResume, Node: ftCluster(t, 1).Mappers[1]},
+		{At: ref.Completion / 3, Kind: faults.HostPause, Node: ftCluster(t).Mappers[1]},
+		{At: 2 * ref.Completion, Kind: faults.HostResume, Node: ftCluster(t).Mappers[1]},
 	}
 	cfg := FTConfig{DeadTimeout: time.Duration(ref.Completion / 6)}
 
-	render := func(simWorkers int) string {
-		rep, err := ftCluster(t, simWorkers).RunJobFT(WordCount, splits, sched, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%+v\n%s", *rep, renderOutputs(rep))
+	rep, err := ftCluster(t).RunJobFT(WordCount, splits, sched, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq := render(1)
-	for _, w := range []int{2, 4} {
-		if got := render(w); got != seq {
-			t.Fatalf("FT run diverged at sim-workers %d:\nsequential:\n%s\npartitioned:\n%s", w, seq, got)
-		}
-	}
+	checkDigest(t, "faulted run", fmt.Sprintf("%+v\n%s", *rep, renderOutputs(rep)), "11898 bytes 0xa5b33e212137a112")
 }
 
 // TestRunJobFTRandomSchedules replays generated random schedules — the
 // property that any mix of crashes, flaps, and stragglers leaves the
 // result exactly-once (RunJobFT verifies against the reference
-// internally) and deterministic across domain counts.
+// internally) and reproduces its recorded digest.
 func TestRunJobFTRandomSchedules(t *testing.T) {
 	splits, _ := miniCorpus(t, 8, 2, 100, 5, 512)
-	ref, err := ftCluster(t, 1).RunJobFT(WordCount, splits, nil, FTConfig{})
+	ref, err := ftCluster(t).RunJobFT(WordCount, splits, nil, FTConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +275,7 @@ func TestRunJobFTRandomSchedules(t *testing.T) {
 		links = append(links, [2]netsim.NodeID{l.A, l.B})
 	}
 	cfg := FTConfig{DeadTimeout: time.Duration(ref.Completion / 6)}
+	want := []string{"8164 bytes 0x89cef15e08a37718", "8162 bytes 0x6bc08c5eb4c63fb2", "8167 bytes 0x4e00fc55cc3c44b0"}
 	for seed := uint64(0); seed < 3; seed++ {
 		sched, err := faults.Generate(faults.GenConfig{
 			Seed:           seed,
@@ -287,16 +287,10 @@ func TestRunJobFTRandomSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		render := func(simWorkers int) string {
-			rep, err := ftCluster(t, simWorkers).RunJobFT(WordCount, splits, sched, cfg)
-			if err != nil {
-				t.Fatalf("seed %d sim-workers %d: %v", seed, simWorkers, err)
-			}
-			return fmt.Sprintf("%+v\n%s", *rep, renderOutputs(rep))
+		rep, err := ftCluster(t).RunJobFT(WordCount, splits, sched, cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		seq := render(1)
-		if got := render(2); got != seq {
-			t.Fatalf("seed %d diverged at 2 domains:\n%s\nvs\n%s", seed, seq, got)
-		}
+		checkDigest(t, fmt.Sprintf("seed %d", seed), fmt.Sprintf("%+v\n%s", *rep, renderOutputs(rep)), want[seed])
 	}
 }

@@ -2,7 +2,7 @@ package netsim
 
 import "unsafe"
 
-// Per-domain slab arenas for the event hot path.
+// Slab arenas for the event hot path.
 //
 // Before PR 7 every frame delivery allocated a closure (capturing the
 // destination node, port and payload) that lived on the heap until the
@@ -22,9 +22,7 @@ import "unsafe"
 // passes with the slot: the sender gives it up at Send, the arena holds it
 // while the frame is in flight, and take hands it to the destination
 // node's HandleFrame, after which the arena retains nothing. Only the
-// engine's own push/take helpers may touch arena internals; cross-domain
-// frames travel as explicit mail records and re-enter an arena only
-// through Engine.scheduleFrame at the barrier (the handoff helper).
+// engine's own push/take helpers may touch arena internals.
 
 // frameArena is the struct-of-arrays store for in-flight frame
 // deliveries: parallel slices indexed by slot. Slots are recycled LIFO so
@@ -82,7 +80,10 @@ func (a *frameArena) bytes() int64 {
 }
 
 // fnArena is the slot store for callback events (timers, control-plane
-// work): the closure plus the node that owns it for re-cut migration.
+// work): the closure plus the node that owns it. Nothing uses owner, but
+// its capacity counts in ArenaStats.Bytes, which the megaincast figure's
+// peak_arena_kb and the benchmark's sim_digest record; dropping it moves
+// both.
 type fnArena struct {
 	fn    []func()
 	owner []NodeID
@@ -125,8 +126,8 @@ func (a *fnArena) bytes() int64 {
 		int64(cap(a.free))*int64(unsafe.Sizeof(int32(0)))
 }
 
-// ArenaStats aggregates arena occupancy across every event engine of a
-// network — the "peak arena bytes" figure of the megaincast experiment.
+// ArenaStats is a network's arena occupancy — the "peak arena bytes"
+// figure of the megaincast experiment.
 type ArenaStats struct {
 	FrameCap  int   // frame slots ever allocated (capacity; never shrinks)
 	FrameLive int   // frame slots currently holding an in-flight delivery
@@ -136,24 +137,15 @@ type ArenaStats struct {
 	Bytes     int64 // resident arena metadata bytes (payloads excluded)
 }
 
-// ArenaStats returns the summed arena statistics of all domains (or of
-// the single sequential engine).
+// ArenaStats returns the arena statistics of the network's engine.
 func (nw *Network) ArenaStats() ArenaStats {
-	var st ArenaStats
-	add := func(e *Engine) {
-		st.FrameCap += len(e.frames.node)
-		st.FrameLive += e.frames.live
-		st.FramePeak += e.frames.peak
-		st.TimerCap += len(e.fns.fn)
-		st.TimerPeak += e.fns.peak
-		st.Bytes += e.frames.bytes() + e.fns.bytes()
+	e := nw.Eng
+	return ArenaStats{
+		FrameCap:  len(e.frames.node),
+		FrameLive: e.frames.live,
+		FramePeak: e.frames.peak,
+		TimerCap:  len(e.fns.fn),
+		TimerPeak: e.fns.peak,
+		Bytes:     e.frames.bytes() + e.fns.bytes(),
 	}
-	if nw.domains == nil {
-		add(nw.Eng)
-		return st
-	}
-	for _, d := range nw.domains {
-		add(d.eng)
-	}
-	return st
 }

@@ -31,12 +31,6 @@ import "fmt"
 // Nodes without a pool keep the standalone-link fallback: each half-link's
 // private LinkConfig.QueueBytes FIFO, exactly as before pools existed, so
 // historical figures stay reproducible.
-//
-// Domain ownership: a pool is touched only on admission and drain of
-// half-links transmitting FROM its node, and a node's sends always execute
-// in its own partition domain (the scheduling confinement contract in
-// NodeAfter). Pool state therefore needs no locks and transitions in
-// partition-invariant event order, keeping partitioned runs byte-identical.
 
 // ClassConfig sizes one traffic class of a shared buffer pool. Every port
 // of the pooled node gets its own hard reserve per class; classes are how
@@ -114,9 +108,9 @@ func (c PoolConfig) validate() error {
 // dtLimit is the Dynamic-Threshold borrowing allowance over the currently
 // uncommitted memory: int(alpha × free), truncated toward zero. The
 // truncation mode is load-bearing for the byte-identity contract — every
-// admission decision must replay identically at any -sim-workers value and
-// across re-cut schedules — so the rounding lives here, in exactly one
-// place, pinned by TestDTLimitGolden. Do not change it silently.
+// recorded admission decision depends on it — so the rounding lives here,
+// in exactly one place, pinned by TestDTLimitGolden. Do not change it
+// silently.
 func dtLimit(alpha float64, free int) int {
 	return int(alpha * float64(free))
 }
@@ -363,7 +357,7 @@ func (bp *BufferPool) reset() {
 // transmitting from id switches from its private LinkConfig.QueueBytes FIFO
 // to DT admission against this pool. It may be called before or after the
 // node's links are connected (later Connects join the pool automatically),
-// but must precede Partition and any traffic. Reserves are validated
+// but must precede any traffic. Reserves are validated
 // against the ports present at call time; ports joining later re-check at
 // Connect (which panics, as it does for its other configuration errors).
 func (nw *Network) SetNodePool(id NodeID, cfg PoolConfig) error {
@@ -372,9 +366,6 @@ func (nw *Network) SetNodePool(id NodeID, cfg PoolConfig) error {
 	}
 	if _, ok := nw.nodes[id]; !ok {
 		return fmt.Errorf("netsim: SetNodePool: unknown node %d", id)
-	}
-	if nw.domains != nil {
-		return fmt.Errorf("netsim: SetNodePool after Partition")
 	}
 	if nw.pools[id] != nil {
 		return fmt.Errorf("netsim: node %d already has a pool", id)
@@ -392,10 +383,7 @@ func (nw *Network) SetNodePool(id NodeID, cfg PoolConfig) error {
 }
 
 // PoolStats returns the current state of node id's buffer pool, drained to
-// the fabric-wide clock, and whether the node has one. Call only while the
-// network is quiescent (before Run, at a RunUntil control point, or after
-// Run returns) — the fabric clock is only mode-independent there, which is
-// what keeps reported occupancy byte-identical at any -sim-workers value.
+// the network clock, and whether the node has one.
 func (nw *Network) PoolStats(id NodeID) (PoolStats, bool) {
 	bp := nw.pools[id]
 	if bp == nil {
@@ -433,8 +421,8 @@ func (nw *Network) PoolStats(id NodeID) (PoolStats, bool) {
 // post-restart traffic sees empty queues instead of inheriting the dead
 // boot's occupancy. busyTill is deliberately NOT reset — the pre-crash
 // frames still occupy the serializer's timeline, so clearing it would
-// transiently double the port's effective bandwidth. Like all fault
-// operations it may only be called while the network is quiescent.
+// transiently double the port's effective bandwidth. Fault injection calls
+// it between RunUntil windows.
 func (nw *Network) ResetPool(id NodeID) {
 	if bp := nw.pools[id]; bp != nil {
 		bp.reset()

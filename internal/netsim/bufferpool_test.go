@@ -120,10 +120,9 @@ func TestPoolReserveFloorHolds(t *testing.T) {
 }
 
 // TestDTLimitGolden pins dtLimit's rounding: truncation toward zero, not
-// rounding to nearest. Admission decisions replay byte-identically across
-// -sim-workers values and re-cut schedules only if every domain computes
-// the identical limit, so the rounding mode is part of the determinism
-// contract.
+// rounding to nearest. Every recorded admission decision (the figure
+// golden, the replay digests) depends on it, so the rounding mode is part
+// of the determinism contract.
 func TestDTLimitGolden(t *testing.T) {
 	cases := []struct {
 		alpha float64
@@ -264,13 +263,6 @@ func TestPoolConfigValidation(t *testing.T) {
 	}
 	if _, ok := nw.PoolStats(2); ok {
 		t.Fatal("poolless node reported a pool")
-	}
-	// Pools must exist before Partition; afterwards installation is refused.
-	if err := nw.Partition([][]NodeID{{1}, {2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.SetNodePool(2, PoolConfig{TotalBytes: 100}); err == nil {
-		t.Fatal("SetNodePool after Partition accepted")
 	}
 }
 
@@ -548,10 +540,10 @@ func classFingerprint(t *testing.T, nw *Network, nodes []*classChatter, n int) s
 	return b.String()
 }
 
-// TestPoolMultiClassPartitionConformance: per-class admission, occupancy
-// and drop attribution are part of the replay contract — byte-identical at
-// 1/2/4 domains and under a random mid-run re-cut schedule.
-func TestPoolMultiClassPartitionConformance(t *testing.T) {
+// TestPoolMultiClassReplay: per-class admission, occupancy and drop
+// attribution are part of the replay contract — the fingerprint, full
+// per-class pool statistics included, matches its recorded digest.
+func TestPoolMultiClassReplay(t *testing.T) {
 	const n = 12
 	injectClass := func(nw *Network, nodes []*classChatter, seed int64) {
 		rng := rand.New(rand.NewSource(seed ^ 0x5bd1e995))
@@ -564,67 +556,40 @@ func TestPoolMultiClassPartitionConformance(t *testing.T) {
 			}
 		}
 	}
-	run := func(seed int64, domains, recuts int) string {
+	for seed, want := range map[int64]string{
+		7:  "10313 bytes 0x8d5e266a30609705",
+		31: "7399 bytes 0x84815b6c5fa5bb32",
+	} {
 		nw, nodes := classWorld(t, seed, n)
-		if domains > 1 {
-			if err := nw.Partition(randomGroups(n, domains, seed)); err != nil {
-				t.Fatal(err)
-			}
-		}
 		injectClass(nw, nodes, seed)
-		for step := 1; step <= recuts; step++ {
-			if err := nw.RunUntil(Time(step) * Duration(5*time.Microsecond)); err != nil {
-				t.Fatal(err)
-			}
-			if err := nw.Repartition(randomGroups(n, domains, seed+int64(step))); err != nil {
-				t.Fatal(err)
-			}
-		}
 		if err := nw.Run(50_000_000); err != nil {
 			t.Fatal(err)
 		}
-		return classFingerprint(t, nw, nodes, n)
-	}
-	for _, seed := range []int64{7, 31} {
-		seq := run(seed, 1, 0)
-		if !strings.Contains(seq, "Drops:") {
-			t.Fatalf("fingerprint lost pool stats:\n%s", seq)
+		fp := classFingerprint(t, nw, nodes, n)
+		if !strings.Contains(fp, "Drops:") {
+			t.Fatalf("fingerprint lost pool stats:\n%s", fp)
 		}
-		for _, domains := range []int{2, 4} {
-			if got := run(seed, domains, 0); got != seq {
-				t.Fatalf("multi-class replay diverged at %d domains:\nsequential:\n%s\npartitioned:\n%s",
-					domains, seq, got)
-			}
-		}
-		// Re-cut schedule: same workload, domain cut shuffled mid-run.
-		if got := run(seed, 3, 4); got != seq {
-			t.Fatalf("multi-class replay diverged under re-cut:\nsequential:\n%s\nre-cut:\n%s",
-				seq, got)
-		}
+		checkDigest(t, fmt.Sprintf("seed %d", seed), fp, want)
 	}
 }
 
-// TestPoolPartitionConformance: pooled admission is part of the replay
-// contract — random chatter workloads over fabrics where some nodes carry
-// shared pools must fingerprint identically at any partitioning, including
-// pool occupancy statistics.
-func TestPoolPartitionConformance(t *testing.T) {
-	run := func(seed int64, domains int) string {
+// TestPoolReplay: pooled admission is part of the replay contract — random
+// chatter workloads over fabrics where some nodes carry tight shared pools
+// fingerprint to their recorded digests, pool statistics included.
+func TestPoolReplay(t *testing.T) {
+	for seed, want := range map[int64]string{
+		11: "10545 bytes 0xad1f6e606c108801",
+		23: "8200 bytes 0x522f57e17c393103",
+	} {
 		nw, nodes := chatterWorld(t, seed, 12)
 		// Give a deterministic subset of nodes tight shared pools so DT
 		// rejections actually happen under the chatter load.
 		for i := 0; i < 12; i += 3 {
-			id := NodeID(i + 1)
-			if err := nw.SetNodePool(id, PoolConfig{
+			if err := nw.SetNodePool(NodeID(i+1), PoolConfig{
 				TotalBytes:   512,
 				ReserveBytes: 64,
 				Alpha:        0.5,
 			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if domains > 1 {
-			if err := nw.Partition(randomGroups(12, domains, seed)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -642,19 +607,10 @@ func TestPoolPartitionConformance(t *testing.T) {
 			poolDrops += ps.Drops
 			out += fmt.Sprintf("pool %d: %+v\n", i+1, ps)
 		}
-		return fmt.Sprintf("pooldrops=%d\n%s", poolDrops, out)
-	}
-	for _, seed := range []int64{11, 23} {
-		seq := run(seed, 1)
-		if strings.HasPrefix(seq, "pooldrops=0\n") {
-			t.Fatalf("workload produced no pool drops; fingerprint:\n%s", seq)
+		if poolDrops == 0 {
+			t.Fatalf("seed %d: workload produced no pool drops; fingerprint:\n%s", seed, out)
 		}
-		for _, domains := range []int{2, 4} {
-			if got := run(seed, domains); got != seq {
-				t.Fatalf("pooled replay diverged at %d domains:\nsequential:\n%s\npartitioned:\n%s",
-					domains, seq, got)
-			}
-		}
+		checkDigest(t, fmt.Sprintf("seed %d", seed), out, want)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // Tests for the fault-subsystem substrate: administrative link state and
-// the quiescent-control RunUntil primitive, sequential and partitioned.
+// the quiescent-control RunUntil primitive.
 
 func TestSetLinkStateDropsAndRevives(t *testing.T) {
 	nw := New(1)
@@ -129,12 +129,12 @@ func (r *relay) HandleFrame(inPort int, frame []byte) {
 	r.nw.NodeAfter(r.id, 200, func() { r.nw.Send(r.id, out, next) })
 }
 
-// TestRunUntilConformance drives the same chain workload — including
-// mid-run link flaps applied at quiescent control points — sequentially
-// and partitioned, and requires byte-identical per-node logs, stats, and
-// clocks. This is the contract the fault injector relies on.
+// TestRunUntilConformance drives a chain workload — including mid-run link
+// flaps applied at quiescent control points — and requires the clock to sit
+// at every deadline and the per-node logs, stats and final clock to match
+// the recorded run. This is the contract the fault injector relies on.
 func TestRunUntilConformance(t *testing.T) {
-	run := func(partitioned bool) string {
+	run := func() string {
 		nw := New(3)
 		nodes := make([]*relay, 4)
 		for i := range nodes {
@@ -145,11 +145,6 @@ func TestRunUntilConformance(t *testing.T) {
 		nw.Connect(1, 2, cfg)
 		nw.Connect(2, 3, cfg)
 		nw.Connect(3, 4, cfg)
-		if partitioned {
-			if err := nw.Partition([][]NodeID{{1, 2}, {3, 4}}); err != nil {
-				t.Fatal(err)
-			}
-		}
 		// Seed several bouncing frames.
 		for i := 0; i < 4; i++ {
 			f := make([]byte, 64)
@@ -193,22 +188,28 @@ func TestRunUntilConformance(t *testing.T) {
 		}
 		return out
 	}
-	seq := run(false)
-	par := run(true)
-	if seq != par {
-		t.Fatalf("RunUntil diverged between sequential and partitioned:\nseq:\n%s\npar:\n%s", seq, par)
+	if got := run(); got != runUntilWant {
+		t.Fatalf("RunUntil run diverged from the recording:\ngot:\n%s\nwant:\n%s", got, runUntilWant)
 	}
 }
+
+// runUntilWant is TestRunUntilConformance's recorded output.
+const runUntilWant = `end=60.784µs processed=69 total={TxFrames:35 TxBytes:2240 DropsFull:0 DropsPool:0 DropsLoss:0 DropsDown:5}
+node1: [t=22.072µs ttl=5 port=0 t=22.584µs ttl=6 port=0 t=23.096µs ttl=7 port=0 t=23.608µs ttl=8 port=0 t=53.36µs ttl=2 port=0]
+node2: [t=3.512µs ttl=10 port=0 t=4.024µs ttl=11 port=0 t=4.536µs ttl=12 port=0 t=5.048µs ttl=13 port=0 t=18.36µs ttl=6 port=1 t=18.872µs ttl=7 port=1 t=19.384µs ttl=8 port=1 t=19.896µs ttl=9 port=1 t=25.784µs ttl=4 port=0 t=26.296µs ttl=5 port=0 t=26.808µs ttl=6 port=0 t=27.32µs ttl=7 port=0 t=49.648µs ttl=3 port=1 t=57.072µs ttl=1 port=0]
+node3: [t=7.224µs ttl=9 port=0 t=7.736µs ttl=10 port=0 t=8.248µs ttl=11 port=0 t=8.76µs ttl=12 port=0 t=14.648µs ttl=7 port=1 t=15.16µs ttl=8 port=1 t=15.672µs ttl=9 port=1 t=16.184µs ttl=10 port=1 t=38.512µs ttl=6 port=0 t=45.936µs ttl=4 port=1 t=60.784µs ttl=0 port=0]
+node4: [t=10.936µs ttl=8 port=0 t=11.448µs ttl=9 port=0 t=11.96µs ttl=10 port=0 t=12.472µs ttl=11 port=0 t=42.224µs ttl=5 port=0]
+`
 
 func boolPtr(b bool) *bool { return &b }
 
 // TestResetPoolOnCrash: a crash at a quiescent control point zeroes the
 // node's shared buffer occupancy accounting while cumulative statistics
-// survive, and post-restart admissions start against an empty pool — in
-// both engine modes, identically. (Already-admitted frames keep their
-// scheduled deliveries: netsim models departure at admission time.)
+// survive, and post-restart admissions start against an empty pool, ending
+// in the recorded state. (Already-admitted frames keep their scheduled
+// deliveries: netsim models departure at admission time.)
 func TestResetPoolOnCrash(t *testing.T) {
-	run := func(partitioned bool) string {
+	run := func() string {
 		nw := New(5)
 		a, b := &sink{}, &sink{}
 		nw.AddNode(1, a)
@@ -216,11 +217,6 @@ func TestResetPoolOnCrash(t *testing.T) {
 		nw.Connect(1, 2, LinkConfig{BandwidthBps: 1_000_000, QueueBytes: 1 << 30})
 		if err := nw.SetNodePool(1, PoolConfig{TotalBytes: 300, Alpha: 8}); err != nil {
 			t.Fatal(err)
-		}
-		if partitioned {
-			if err := nw.Partition([][]NodeID{{1}, {2}}); err != nil {
-				t.Fatal(err)
-			}
 		}
 		for i := 0; i < 4; i++ {
 			nw.Send(1, 0, make([]byte, 100)) // 3 admitted, 1 pool drop
@@ -250,9 +246,9 @@ func TestResetPoolOnCrash(t *testing.T) {
 		return fmt.Sprintf("end=%v stats=%+v pool=%+v delivered=%d",
 			nw.Now(), nw.PortStats(1, 0), final, len(b.frames))
 	}
-	seq := run(false)
-	if par := run(true); par != seq {
-		t.Fatalf("ResetPool diverged between modes:\nseq: %s\npar: %s", seq, par)
+	const want = `end=4.801ms stats={TxFrames:6 TxBytes:600 DropsFull:0 DropsPool:1 DropsLoss:0 DropsDown:0} pool={TotalBytes:300 Used:0 Committed:0 HighWater:300 Drops:1 Classes:[{ReserveBytes:0 Alpha:8 Used:0 HighWater:300 Drops:1}]} delivered=6`
+	if got := run(); got != want {
+		t.Fatalf("ResetPool run diverged from the recording:\ngot:  %s\nwant: %s", got, want)
 	}
 }
 
@@ -283,23 +279,16 @@ func TestResetPoolWithoutPool(t *testing.T) {
 }
 
 // TestRunUntilIdleAdvancesClocks: with nothing queued, RunUntil still
-// moves every clock to the deadline in both modes.
+// moves the clock to the deadline.
 func TestRunUntilIdleAdvancesClocks(t *testing.T) {
-	for _, partitioned := range []bool{false, true} {
-		nw := New(1)
-		nw.AddNode(1, &sink{})
-		nw.AddNode(2, &sink{})
-		nw.Connect(1, 2, LinkConfig{})
-		if partitioned {
-			if err := nw.Partition([][]NodeID{{1}, {2}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := nw.RunUntil(12345); err != nil {
-			t.Fatal(err)
-		}
-		if nw.Now() != 12345 {
-			t.Fatalf("partitioned=%v: clock %v want 12345", partitioned, nw.Now())
-		}
+	nw := New(1)
+	nw.AddNode(1, &sink{})
+	nw.AddNode(2, &sink{})
+	nw.Connect(1, 2, LinkConfig{})
+	if err := nw.RunUntil(12345); err != nil {
+		t.Fatal(err)
+	}
+	if nw.Now() != 12345 {
+		t.Fatalf("clock %v want 12345", nw.Now())
 	}
 }

@@ -416,3 +416,35 @@ func BenchmarkFrameDelivery(b *testing.B) {
 		c.frames = c.frames[:0]
 	}
 }
+
+// TestArenaRecycling pins the zero-steady-state-allocation design: a long
+// sequential run recycles frame slots through the free list, so capacity
+// tracks peak in-flight frames, not total frames, and nothing stays live
+// after the run drains.
+func TestArenaRecycling(t *testing.T) {
+	nw := New(3)
+	a, b := &chatter{}, &chatter{}
+	nw.AddNode(1, a)
+	nw.AddNode(2, b)
+	nw.Connect(1, 2, LinkConfig{QueueBytes: 1 << 20})
+	for i := 0; i < 200; i++ {
+		frame := make([]byte, 64)
+		frame[0] = 5 // TTL
+		frame[1] = byte(i)
+		nw.Send(1, 0, frame)
+	}
+	if err := nw.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	st := nw.ArenaStats()
+	frames := nw.TotalStats().TxFrames
+	if st.FrameLive != 0 {
+		t.Fatalf("%d frame slots live after drain", st.FrameLive)
+	}
+	if st.FramePeak == 0 || st.Bytes == 0 {
+		t.Fatalf("arena stats not tracked: %+v", st)
+	}
+	if uint64(st.FrameCap) >= frames {
+		t.Fatalf("frame slots are not recycled: cap %d for %d frames", st.FrameCap, frames)
+	}
+}

@@ -66,9 +66,7 @@ type txRec struct {
 }
 
 // halfLink is one direction of a link: a serializing transmitter feeding a
-// propagation delay into the peer node's port. All of a half-link's mutable
-// state is owned by the source node's partition domain: only code running
-// in that domain transmits on it.
+// propagation delay into the peer node's port.
 type halfLink struct {
 	cfg      LinkConfig
 	srcNode  NodeID
@@ -86,23 +84,15 @@ type halfLink struct {
 	// down marks the direction administratively failed (fault injection):
 	// frames sent while down are counted and discarded. Frames already
 	// accepted keep their scheduled deliveries — they left the transmitter
-	// before the failure. Toggled only through SetLinkState, and only while
-	// the network is quiescent.
+	// before the failure. Toggled only through SetLinkState.
 	down bool
 
 	// key is the half-link's ordering origin (halfLinkKeyBase | index) and
 	// txSeq its per-accepted-frame sequence. Together they key every frame
-	// delivery this half-link produces, so arrival order at the destination
-	// heap is deterministic and independent of partitioning.
+	// delivery this half-link produces, so same-tick arrival order at the
+	// destination is deterministic.
 	key   uint64
 	txSeq uint64
-
-	// srcDom/dstDom are the partition domains of the two endpoints, nil
-	// while the network is unpartitioned. inCut marks membership in the
-	// network's maintained cut-link set (see rebuildLookaheads).
-	srcDom *domain
-	dstDom *domain
-	inCut  bool
 
 	// pool, when non-nil, is the shared buffer memory of the source node:
 	// admission charges it under the dynamic threshold instead of the
@@ -200,9 +190,7 @@ func pairKey(a, b NodeID) [2]NodeID {
 
 // Network glues nodes together with links on top of an Engine.
 type Network struct {
-	// Eng is the single sequential event engine. After Partition it is nil:
-	// each domain owns its own engine, and callers use Now/NodeNow/NodeAfter
-	// (which also work unpartitioned) instead of touching Eng directly.
+	// Eng is the network's event engine.
 	Eng   *Engine
 	nodes map[NodeID]Node
 	ports map[NodeID][]*port
@@ -211,32 +199,8 @@ type Network struct {
 	pools map[NodeID]*BufferPool
 	seed  uint64
 
-	// Partitioned mode (see partition.go). domains is nil until Partition
-	// is called with more than one group; nodeDom maps every node to its
-	// domain. recut, when non-nil, re-evaluates the cut at window barriers
-	// (see recut.go).
-	domains []*domain
-	nodeDom map[NodeID]*domain
-	recut   *recutState
-
-	// Conservative synchronization state. la[i][j] is the per-pair
-	// lookahead (min in-flight latency over cut links from domain i to j,
-	// maxTime when none exist); lookahead is the global minimum SyncGlobal
-	// uses; cutHalf is the maintained cut-link set the matrix is rebuilt
-	// from (O(cut), not O(links), per re-cut) and nodeHalf the
-	// node→incident-links index the incremental rebind walks. workers is
-	// the persistent per-domain worker pool, spawned once at Partition.
-	la        [][]Time
-	lookahead Time
-	cutHalf   []*halfLink
-	nodeHalf  map[NodeID][]*halfLink
-	workers   *workerPool
-	syncProto SyncProtocol
-	syncStats SyncStats
-
 	// tracer, when non-nil, observes every transmit-side admission attempt
-	// (see tracer.go). Installed only while quiescent; read inline on the
-	// send path by domain goroutines.
+	// (see tracer.go).
 	tracer FrameTracer
 }
 
@@ -256,9 +220,6 @@ func New(seed uint64) *Network {
 // AddNode attaches n under the given ID. Duplicate IDs are a configuration
 // error and panic.
 func (nw *Network) AddNode(id NodeID, n Node) {
-	if nw.domains != nil {
-		panic("netsim: AddNode after Partition")
-	}
 	if _, dup := nw.nodes[id]; dup {
 		panic(fmt.Sprintf("netsim: duplicate node id %d", id))
 	}
@@ -275,9 +236,6 @@ func (nw *Network) NumPorts(id NodeID) int { return len(nw.ports[id]) }
 // Connect joins a and b with a bidirectional link and returns the port
 // numbers allocated on each side. Both nodes must already be added.
 func (nw *Network) Connect(a, b NodeID, cfg LinkConfig) (aPort, bPort int) {
-	if nw.domains != nil {
-		panic("netsim: Connect after Partition")
-	}
 	if _, ok := nw.nodes[a]; !ok {
 		panic(fmt.Sprintf("netsim: connect: unknown node %d", a))
 	}
@@ -366,9 +324,6 @@ func (nw *Network) outHalf(from NodeID, portNum int) *halfLink {
 
 func (nw *Network) send(hl *halfLink, class int, frame []byte) {
 	eng := nw.Eng
-	if hl.srcDom != nil {
-		eng = hl.srcDom.eng
-	}
 	size := len(frame)
 	if hl.down {
 		hl.stats.DropsDown++
@@ -435,127 +390,38 @@ func (nw *Network) send(hl *halfLink, class int, frame []byte) {
 		nw.traceFrame(hl, class, size, now, FrameAccepted, frame)
 	}
 
-	arrival := done + Duration(hl.cfg.Propagation)
-	if hl.srcDom == nil || hl.dstDom == hl.srcDom {
-		// Same event heap: deliver locally under the half-link's key. The
-		// delivery record goes into this engine's frame arena — no closure,
-		// no per-frame heap allocation.
-		eng.scheduleFrame(arrival, hl.key, hl.txSeq, hl.dstNode, hl.dst, int32(hl.dstPort), frame)
-		return
-	}
-	// Cross-domain: mail the delivery to the destination domain. The record
-	// carries its full ordering key and payload by reference — it references
-	// no arena, so the barrier can re-slot it into the peer's arena (the
-	// handoff helper, Engine.scheduleFrame) in any order without perturbing
-	// determinism.
-	hl.srcDom.out[hl.dstDom.idx] = append(hl.srcDom.out[hl.dstDom.idx],
-		mail{at: arrival, src: hl.key, seq: hl.txSeq, dst: hl.dstNode, node: hl.dst,
-			port: int32(hl.dstPort), frame: frame})
+	// Deliver under the half-link's key. The delivery record goes into the
+	// engine's frame arena — no closure, no per-frame heap allocation.
+	eng.scheduleFrame(done+Duration(hl.cfg.Propagation), hl.key, hl.txSeq,
+		hl.dstNode, hl.dst, int32(hl.dstPort), frame)
 }
 
-// engFor returns the engine that owns node id's events: the domain engine
-// when partitioned, the single sequential engine otherwise.
-func (nw *Network) engFor(id NodeID) *Engine {
-	if nw.nodeDom != nil {
-		d := nw.nodeDom[id]
-		if d == nil {
-			panic(fmt.Sprintf("netsim: node %d not covered by any partition", id))
-		}
-		return d.eng
-	}
-	return nw.Eng
-}
-
-// NodeAfter schedules fn d ticks from node id's current virtual time, on
-// the event heap that owns the node. Node-resident timers (host timeouts,
-// switch recirculation) must use this instead of touching Eng so they land
-// on the right domain when the fabric is partitioned.
-//
-// Confinement contract: during a partitioned Run, a node callback may only
-// schedule on its OWN node (id must belong to the domain executing the
-// callback). Scheduling on another domain's node would mutate a heap that
-// domain's goroutine owns — a data race the CI -race stress tests catch —
-// and would stamp the event with a foreign, interleaving-dependent origin,
-// breaking the partition-invariant order. Cross-node influence must travel
-// as frames (Send), never as timers. Setup code (before Run) may schedule
-// on any node.
+// NodeAfter schedules fn d ticks from now as a timer owned by node id.
+// Node-resident timers (host timeouts, switch recirculation, telemetry
+// probes) use this rather than Eng.After so they are keyed by the node's
+// own schedule counter: their same-tick order then depends only on that
+// node's history, even when setup code armed them.
 func (nw *Network) NodeAfter(id NodeID, d Time, fn func()) {
-	eng := nw.engFor(id)
-	eng.scheduleOwned(eng.now+d, id, fn)
+	nw.Eng.scheduleOwned(nw.Eng.now+d, id, fn)
 }
 
-// NodeNow returns node id's current virtual time (its domain clock).
-func (nw *Network) NodeNow(id NodeID) Time {
-	return nw.engFor(id).Now()
-}
+// NodeNow returns the virtual time as seen by node id — the network clock.
+func (nw *Network) NodeNow(id NodeID) Time { return nw.Eng.Now() }
 
-// Now returns the fabric-wide virtual time: the latest domain clock. After
-// Run drains every queue this equals the timestamp of the last executed
-// event, exactly as in a sequential run.
-func (nw *Network) Now() Time {
-	if nw.domains == nil {
-		return nw.Eng.Now()
-	}
-	var t Time
-	for _, d := range nw.domains {
-		if d.eng.Now() > t {
-			t = d.eng.Now()
-		}
-	}
-	return t
-}
+// Now returns the network's virtual time. After Run drains the queue this
+// is the timestamp of the last executed event.
+func (nw *Network) Now() Time { return nw.Eng.Now() }
 
-// Processed returns the total number of events executed across all event
-// heaps.
-func (nw *Network) Processed() uint64 {
-	if nw.domains == nil {
-		return nw.Eng.Processed
-	}
-	var n uint64
-	for _, d := range nw.domains {
-		n += d.eng.Processed
-	}
-	return n
-}
+// Processed returns the number of events executed so far.
+func (nw *Network) Processed() uint64 { return nw.Eng.Processed }
 
-// DomainEvents returns the number of events each partition domain has
-// executed, indexed by domain (a single-element slice while unpartitioned).
-// The spread across domains is the measured load skew of the partition cut:
-// a domain stuck near zero while another does all the work means the cut
-// wasted its goroutine. topology.Plan.PartitionGroups balances predicted
-// load to keep this flat; tests compare the prediction against these
-// counters.
-func (nw *Network) DomainEvents() []uint64 {
-	if nw.domains == nil {
-		return []uint64{nw.Eng.Processed}
-	}
-	out := make([]uint64, len(nw.domains))
-	for i, d := range nw.domains {
-		out[i] = d.eng.Processed
-	}
-	return out
-}
-
-// Pending returns the total number of queued events across all event heaps
-// (excluding undelivered cross-domain mail, which only exists transiently
-// inside Run).
-func (nw *Network) Pending() int {
-	if nw.domains == nil {
-		return nw.Eng.Pending()
-	}
-	n := 0
-	for _, d := range nw.domains {
-		n += d.eng.Pending()
-	}
-	return n
-}
+// Pending returns the number of queued events.
+func (nw *Network) Pending() int { return nw.Eng.Pending() }
 
 // SetLinkState marks every link between a and b administratively up or down
 // in both directions. Down links count and discard subsequent sends;
 // deliveries already scheduled still arrive (those frames were in flight).
-// It may only be called while the network is quiescent — before Run, or at
-// a RunUntil control point — because link state is owned by the domain
-// goroutines during a partitioned window.
+// Fault injection calls it between RunUntil windows.
 func (nw *Network) SetLinkState(a, b NodeID, up bool) error {
 	lp := nw.links[pairKey(a, b)]
 	if lp == nil {
@@ -616,28 +482,17 @@ func (nw *Network) TotalStats() LinkStats {
 	return t
 }
 
-// Run drains the event loop: sequentially on the single engine, or — after
-// Partition — as a conservative parallel simulation, one goroutine per
-// domain (see partition.go). maxEvents bounds the total executed event
-// count across all domains; 0 means unlimited.
-func (nw *Network) Run(maxEvents uint64) error {
-	if nw.domains == nil {
-		return nw.Eng.Run(maxEvents)
-	}
-	return nw.runPartitioned(maxEvents, maxTime)
-}
+// Run drains the event loop. maxEvents bounds the executed event count;
+// 0 means unlimited.
+func (nw *Network) Run(maxEvents uint64) error { return nw.Eng.Run(maxEvents) }
 
 // RunUntil executes every event with timestamp <= deadline, then advances
-// all clocks to the deadline and returns with the network quiescent. Later
-// events stay queued. This is the control-plane synchronization point of
-// the fault subsystem: between RunUntil calls the caller owns all state
-// (fault injection, liveness polling, tree re-planning) and may schedule
-// new work at >= deadline, exactly like setup code — whether the fabric is
-// sequential or partitioned, the observable behaviour is identical.
+// the clock to the deadline. Later events stay queued. This is the
+// control-plane synchronization point of the fault subsystem: between
+// RunUntil calls the caller may inject faults, poll liveness and re-plan
+// trees, and schedule new work at >= deadline, exactly like setup code.
+// It never fails; the error result keeps the signature callers use.
 func (nw *Network) RunUntil(deadline Time) error {
-	if nw.domains == nil {
-		nw.Eng.RunUntil(deadline)
-		return nil
-	}
-	return nw.runPartitioned(0, deadline)
+	nw.Eng.RunUntil(deadline)
+	return nil
 }

@@ -10,19 +10,15 @@ import "fmt"
 //
 // Contract:
 //
-//   - The tracer runs inline on the send path, inside the transmitting
-//     node's partition domain. It must be partition-safe the same way a
-//     node is: any state it writes keyed by the transmitting node is
-//     domain-confined; shared mutable state would race across domains.
+//   - The tracer runs inline on the send path.
 //   - FrameTraceInfo is passed by value and the frame slice must not be
 //     retained or modified — ownership stays with the network (accepted
 //     frames) or dies with the drop. A tracer that needs bytes must copy
 //     them (the telemetry sampler only reads header fields inline).
 //   - The (Origin, Seq) pair is the half-link's attempt key: Origin is the
-//     half-link's partition-invariant ordering origin and Seq counts every
-//     admission attempt on it (accepted + all drop reasons), so trace
-//     records merge into the same (timestamp, origin, seq) total order the
-//     event engine uses — byte-identical at any -sim-workers value.
+//     half-link's ordering origin and Seq counts every admission attempt on
+//     it (accepted + all drop reasons), so trace records merge into the
+//     same (timestamp, origin, seq) total order the event engine uses.
 //   - A nil tracer costs one predictable branch per send; the steady-state
 //     hot path stays 0 allocs/op (TestSendTracerOffZeroAlloc pins it).
 
@@ -71,8 +67,7 @@ type FrameTraceInfo struct {
 	// or -1 when the node has no pool.
 	PoolUsedBytes int
 
-	// Origin/Seq key the attempt in the fabric's partition-invariant
-	// order: Origin is the half-link's ordering origin, Seq its attempt
+	// Origin/Seq key the attempt in the fabric's event order: Origin is the half-link's ordering origin, Seq its attempt
 	// counter (strictly increasing per half-link, first attempt = 1).
 	Origin uint64
 	Seq    uint64
@@ -86,9 +81,7 @@ type FrameTracer interface {
 }
 
 // SetFrameTracer installs (or, with nil, removes) the network's frame
-// tracer. It may only be called while the network is quiescent — before
-// Run, or at a RunUntil control point — because the send path reads the
-// tracer from domain goroutines during a partitioned window.
+// tracer.
 func (nw *Network) SetFrameTracer(t FrameTracer) {
 	nw.tracer = t
 }
@@ -117,68 +110,15 @@ func (nw *Network) traceFrame(hl *halfLink, class, size int, now Time, verdict F
 	}, frame)
 }
 
-// ---- node-local statistics for in-domain probes ----
-
-// NodePoolStats is PoolStats drained to node id's OWN domain clock instead
-// of the fabric-wide clock, so a node-resident timer (a telemetry probe
-// scheduled through NodeAfter) may sample its own switch's pool without
-// reading other domains' clocks mid-run — which would be a data race and,
-// worse, an interleaving-dependent value. The pool and the node's clock
-// are both owned by the node's domain, so the result is deterministic and
-// partition-invariant. From quiescent (control-plane) context, PoolStats
-// remains the right call.
-func (nw *Network) NodePoolStats(id NodeID) (PoolStats, bool) {
-	bp := nw.pools[id]
-	if bp == nil {
-		return PoolStats{}, false
-	}
-	bp.drainTo(nw.NodeNow(id))
-	st := PoolStats{
-		TotalBytes: bp.cfg.TotalBytes,
-		Used:       bp.used,
-		Committed:  bp.committed,
-		HighWater:  bp.highWater,
-		Drops:      bp.drops,
-		Classes:    make([]ClassStats, len(bp.classes)),
-	}
-	for i, cl := range bp.classes {
-		st.Classes[i] = ClassStats{
-			ReserveBytes: cl.ReserveBytes,
-			Alpha:        cl.Alpha,
-			Used:         bp.cls[i].used,
-			HighWater:    bp.cls[i].highWater,
-			Drops:        bp.cls[i].drops,
-		}
-	}
-	return st, true
-}
-
 // NodeQueueDepth returns the transmit-queue occupancy of (id, portNum) in
-// bytes, drained to node id's own domain clock: the private FIFO depth on
-// poolless ports, the port's contribution to the shared pool otherwise.
-// Like NodePoolStats it is safe from the node's own timer callbacks — the
-// half-link and the clock belong to the node's domain — and deterministic
-// at any -sim-workers value.
+// bytes, drained to the network clock: the private FIFO depth on poolless
+// ports, the port's contribution to the shared pool otherwise.
 func (nw *Network) NodeQueueDepth(id NodeID, portNum int) int {
 	ports := nw.ports[id]
 	if portNum < 0 || portNum >= len(ports) {
 		return 0
 	}
 	hl := ports[portNum].out
-	hl.drainTo(nw.NodeNow(id))
+	hl.drainTo(nw.Now())
 	return hl.queued
-}
-
-// NodePortStats is PortStats readable from node id's own timer callbacks:
-// the transmit-direction counters of (id, portNum). The counters are
-// written only by the node's own sends, which execute in its domain, so
-// reading them from the same domain is race-free. (PortStats itself is
-// quiescent-context API; the implementation is identical, the contract is
-// not.)
-func (nw *Network) NodePortStats(id NodeID, portNum int) LinkStats {
-	ports := nw.ports[id]
-	if portNum < 0 || portNum >= len(ports) {
-		return LinkStats{}
-	}
-	return ports[portNum].out.stats
 }

@@ -58,7 +58,7 @@ func TestFrameTracerVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Origins differ per half-link and stay partition-invariant.
+	// Origins differ per half-link.
 	tr.infos = nil
 	nw.Send(1, 1, make([]byte, 50))
 	if len(tr.infos) != 1 || tr.infos[0].Origin == 0 {

@@ -40,11 +40,8 @@ func (c PathTraceConfig) withDefaults() PathTraceConfig {
 }
 
 // pathTracer implements netsim.FrameTracer. Hop slabs are preallocated
-// per node before the run starts and the node→slab map is read-only
-// afterwards, so concurrent TraceFrame calls from different partition
-// domains touch disjoint slabs — the arena ownership rule applied to
-// telemetry: each record lives in storage owned by the domain that wrote
-// it, and merging happens only at quiescence.
+// per node before the run starts, one stream per transmitting node, and
+// are merged only when the timeline is built.
 type pathTracer struct {
 	cfg     PathTraceConfig
 	slabs   map[netsim.NodeID]*series
@@ -67,9 +64,9 @@ func newPathTracer(cfg PathTraceConfig, nodes []netsim.NodeID) *pathTracer {
 	return t
 }
 
-// TraceFrame samples one admission attempt. Runs inline on the send path
-// inside the transmitting node's domain; it only reads the frame's header
-// bytes and appends to the transmitting node's own slab.
+// TraceFrame samples one admission attempt. Runs inline on the send path;
+// it only reads the frame's header bytes and appends to the transmitting
+// node's own slab.
 func (t *pathTracer) TraceFrame(info netsim.FrameTraceInfo, frame []byte) {
 	if hashing.Mix64(t.cfg.Seed^flowKey(frame))%t.cfg.SampleEvery != 0 {
 		return

@@ -8,14 +8,11 @@
 // keyed (At, Origin, Seq) exactly like simulator events: At is virtual
 // time, Origin names the deterministic stream that produced the record (a
 // node's probe, a node's hop sampler, or origin 0 for control-plane
-// samples), and Seq is that stream's own counter. Each stream's contents
-// depend only on its node's causal history — never on the global
-// interleaving of domain goroutines — so the merged timeline is
-// byte-identical at any -sim-workers value and under any re-cut schedule
-// (the conformance tests in internal/experiments assert it). The one
-// cut-dependent quantity, per-domain arena occupancy, lives in a separate
-// engine-diagnostics section excluded from the determinism comparison,
-// mirroring the Volatile-metrics convention of the figure framework.
+// samples), and Seq is that stream's own counter, so the merged timeline
+// has one total order (the figure golden in internal/experiments pins each
+// registered timeline's hash). Arena occupancy — how the engine stored the
+// run rather than what the fabric did — lives in a separate engine section
+// excluded from DeterministicBytes.
 package telemetry
 
 import (
@@ -44,7 +41,7 @@ const (
 	// replay packets, V3 cumulative flush packets out, V4 cumulative
 	// replay retransmissions.
 	KindTree
-	// KindControl is a control-point sample at a fabric-quiescent moment:
+	// KindControl is a control-point sample between RunUntil windows:
 	// V0 pending events, V1 total events processed.
 	KindControl
 	// KindMonitor is a controller liveness/failover observation: Node and

@@ -12,8 +12,8 @@ import (
 // Config sizes one Recorder.
 type Config struct {
 	// Cadence is the node-probe sampling period in virtual time (default
-	// 50µs): each watched switch samples its own pool, ports and trees on
-	// its own domain clock every Cadence ticks.
+	// 50µs): each watched switch samples its own pool, ports and trees
+	// every Cadence ticks.
 	Cadence netsim.Time
 	// ControlEvery is the RunSampled control-point period (default
 	// 10×Cadence): the driver runs the fabric in RunUntil windows of this
@@ -42,9 +42,7 @@ func (c Config) withDefaults() Config {
 }
 
 // probe is one watched switch: a record stream written exclusively by the
-// node's own timer callbacks, so it is domain-confined by the same
-// scheduling-confinement contract node logic obeys, and its contents are
-// partition-invariant because the node's state at its own virtual time is.
+// node's own timer callbacks.
 type probe struct {
 	rec    *Recorder
 	id     netsim.NodeID
@@ -70,37 +68,23 @@ type Recorder struct {
 	engine  []EngineSample
 	tracer  *pathTracer
 
-	// stopped is set (at a quiescent control point) once the workload has
-	// drained: probe timers observe it and stop re-arming, letting the
-	// fabric reach Pending() == 0. Written only while no domain goroutine
-	// runs; read from node callbacks.
+	// stopped is set (at a control point) once the workload has drained:
+	// probe timers observe it and stop re-arming, letting the fabric reach
+	// Pending() == 0.
 	stopped bool
 	started bool
 }
 
-// EngineSample is one control-point engine-diagnostics reading. It is the
-// timeline's deliberately cut-DEPENDENT section: arena occupancy and the
-// synchronization counters are per-domain state that changes with the cut,
-// the protocol and the re-cut schedule, so these samples are excluded from
-// the byte-identity comparison, exactly as the figure framework excludes
-// Volatile metrics. For a fixed configuration every field is nonetheless
-// deterministic.
+// EngineSample is one control-point reading of the engine's arena
+// occupancy (netsim.ArenaStats). The samples form the timeline's engine
+// section, kept apart from DeterministicBytes: they describe how the
+// simulator stored the run, not what the simulated fabric did.
 type EngineSample struct {
 	At        netsim.Time
-	Domains   int
 	FrameLive int
 	FramePeak int
 	TimerPeak int
 	Bytes     int64
-	Recuts    uint64
-
-	// Cumulative synchronization diagnostics of the partitioned engine
-	// (netsim.SyncStats): coordinator barriers, dispatched and idle
-	// execution windows, and the mean bounded-window width so far.
-	Barriers    uint64
-	Windows     uint64
-	IdleWindows uint64
-	MeanHorizon netsim.Time
 }
 
 // NewRecorder creates a recorder over nw. Watch switches and enable path
@@ -181,13 +165,12 @@ func (p *probe) tick() {
 	p.rec.nw.NodeAfter(p.id, p.rec.cfg.Cadence, p.tick)
 }
 
-// sample reads the node's pool, ports and trees at its own virtual time.
-// Everything read here is owned by the node's domain; nothing crosses a
-// domain boundary.
+// sample reads the node's pool, ports and trees at the current virtual
+// time.
 func (p *probe) sample() {
 	nw := p.rec.nw
-	now := nw.NodeNow(p.id)
-	if ps, ok := nw.NodePoolStats(p.id); ok {
+	now := nw.Now()
+	if ps, ok := nw.PoolStats(p.id); ok {
 		p.s.append(Record{At: now, Kind: KindPool, Node: p.id,
 			V0: int64(ps.Used), V1: int64(ps.Committed), V2: int64(ps.HighWater), V3: int64(ps.Drops)})
 		for c, cs := range ps.Classes {
@@ -197,7 +180,7 @@ func (p *probe) sample() {
 	}
 	for port := 0; port < p.nPorts; port++ {
 		depth := nw.NodeQueueDepth(p.id, port)
-		st := nw.NodePortStats(p.id, port)
+		st := nw.PortStats(p.id, port)
 		tx := st.TxFrames
 		dr := st.DropsPool + st.DropsFull + st.DropsLoss + st.DropsDown
 		p.s.append(Record{At: now, Kind: KindPort, Node: p.id, K: int32(port),
@@ -218,29 +201,21 @@ func (p *probe) sample() {
 	}
 }
 
-// SampleControl takes one control-point sample. Call only while the
-// fabric is quiescent (before Run, at a RunUntil control point, or after
-// Run); RunSampled calls it once per window. Pending and Processed at a
-// quiescent deadline are mode-invariant, so the control stream stays in
-// the deterministic section; the arena gauges go to the engine section.
+// SampleControl takes one control-point sample. Call between runs (before
+// Run, at a RunUntil control point, or after Run); RunSampled calls it
+// once per window. Pending and Processed go to the deterministic control
+// stream; the arena gauges go to the engine section.
 func (r *Recorder) SampleControl() {
 	now := r.nw.Now()
 	r.control.append(Record{At: now, Kind: KindControl,
 		V0: int64(r.nw.Pending()), V1: int64(r.nw.Processed())})
 	as := r.nw.ArenaStats()
-	ss := r.nw.SyncStats()
 	r.engine = append(r.engine, EngineSample{
-		At:          now,
-		Domains:     r.nw.Domains(),
-		FrameLive:   as.FrameLive,
-		FramePeak:   as.FramePeak,
-		TimerPeak:   as.TimerPeak,
-		Bytes:       as.Bytes,
-		Recuts:      r.nw.Recuts(),
-		Barriers:    ss.Barriers,
-		Windows:     ss.Windows,
-		IdleWindows: ss.IdleWindows,
-		MeanHorizon: ss.MeanHorizon(),
+		At:        now,
+		FrameLive: as.FrameLive,
+		FramePeak: as.FramePeak,
+		TimerPeak: as.TimerPeak,
+		Bytes:     as.Bytes,
 	})
 }
 

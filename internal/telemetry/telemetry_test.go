@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,8 +76,7 @@ func TestTimelineRoundTrip(t *testing.T) {
 			{At: 4, Origin: 0, Seq: 2, Kind: KindMonitor, Node: 7, V0: 8, Note: `link-dead with "spaces"`},
 		},
 		Engine: []EngineSample{
-			{At: 4, Domains: 2, FrameLive: 1, FramePeak: 9, TimerPeak: 3, Bytes: 4096, Recuts: 1,
-				Barriers: 17, Windows: 30, IdleWindows: 4, MeanHorizon: 1500},
+			{At: 4, FrameLive: 1, FramePeak: 9, TimerPeak: 3, Bytes: 4096},
 		},
 	}
 	var buf bytes.Buffer
@@ -99,6 +99,12 @@ func TestTimelineRoundTrip(t *testing.T) {
 	stripped.Engine = nil
 	if !bytes.Equal(det, stripped.Bytes()) {
 		t.Fatal("DeterministicBytes != full render minus engine")
+	}
+	// A v2 timeline, whose engine lines carried the partitioned engine's
+	// counters, is refused by the header check.
+	v2 := "daiet-timeline v2\ncadence 50000\ndropped 0\nengine 4 2 1 9 3 4096 1 17 30 4 1500\n"
+	if _, err := ReadTimeline(strings.NewReader(v2)); err == nil {
+		t.Fatal("v2 timeline accepted")
 	}
 }
 

@@ -13,9 +13,8 @@ import (
 )
 
 // Timeline is one recorded run, merged and ready for export. Records is
-// the deterministic section — byte-identical at any -sim-workers value
-// and under any re-cut schedule. Engine is the cut-dependent diagnostics
-// section, excluded from DeterministicBytes.
+// the deterministic section; Engine is the arena-occupancy section,
+// excluded from DeterministicBytes.
 type Timeline struct {
 	Cadence netsim.Time
 	Records []Record
@@ -23,8 +22,7 @@ type Timeline struct {
 	Engine  []EngineSample
 }
 
-// sortRecords orders recs by the simulator's partition-invariant event
-// key. (At, Origin, Seq) is unique across streams — Origin namespaces the
+// sortRecords orders recs by the simulator's event key. (At, Origin, Seq) is unique across streams — Origin namespaces the
 // stream, Seq counts within it — so the order is total and stable.
 func sortRecords(recs []Record) {
 	sort.Slice(recs, func(i, j int) bool {
@@ -40,19 +38,19 @@ func sortRecords(recs []Record) {
 }
 
 // timelineMagic heads the text serialization; the version suffix gates
-// format evolution, so a reader rejects a timeline it cannot parse. v2
-// added the synchronization counters (barriers, windows, idle windows,
-// mean horizon) to engine lines.
-const timelineMagic = "daiet-timeline v2"
+// format evolution, so a reader rejects a timeline it cannot parse. v3
+// dropped the partitioned engine's domain, re-cut and synchronization
+// counters from engine lines.
+const timelineMagic = "daiet-timeline v3"
 
 // WriteTo serializes the timeline in its line-oriented text format:
 //
-//	daiet-timeline v2
+//	daiet-timeline v3
 //	cadence <ns>
 //	dropped <n>
 //	r <at> <origin> <seq> <kind> <node> <k> <v0> <v1> <v2> <v3> <v4> <"note">
 //	...
-//	engine <at> <domains> <framelive> <framepeak> <timerpeak> <bytes> <recuts> <barriers> <windows> <idlewindows> <meanhorizon>
+//	engine <at> <framelive> <framepeak> <timerpeak> <bytes>
 //	...
 //
 // Record lines come first, in (At, Origin, Seq) order; engine lines last.
@@ -74,9 +72,8 @@ func (tl *Timeline) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	for _, e := range tl.Engine {
-		if err := count(fmt.Fprintf(bw, "engine %d %d %d %d %d %d %d %d %d %d %d\n",
-			e.At, e.Domains, e.FrameLive, e.FramePeak, e.TimerPeak, e.Bytes, e.Recuts,
-			e.Barriers, e.Windows, e.IdleWindows, e.MeanHorizon)); err != nil {
+		if err := count(fmt.Fprintf(bw, "engine %d %d %d %d %d\n",
+			e.At, e.FrameLive, e.FramePeak, e.TimerPeak, e.Bytes)); err != nil {
 			return n, err
 		}
 	}
@@ -91,9 +88,7 @@ func (tl *Timeline) Bytes() []byte {
 }
 
 // DeterministicBytes renders only the deterministic section — header and
-// record lines, no engine diagnostics. Two runs of the same workload at
-// different -sim-workers values or re-cut schedules produce identical
-// DeterministicBytes; the conformance suite compares exactly this.
+// record lines, no engine lines. The figure golden pins exactly this.
 func (tl *Timeline) DeterministicBytes() []byte {
 	stripped := Timeline{Cadence: tl.Cadence, Records: tl.Records, Dropped: tl.Dropped}
 	return stripped.Bytes()
@@ -130,9 +125,8 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 			err = parseRecordLine(rest, tl)
 		case "engine":
 			var e EngineSample
-			_, err = fmt.Sscanf(rest, "%d %d %d %d %d %d %d %d %d %d %d",
-				&e.At, &e.Domains, &e.FrameLive, &e.FramePeak, &e.TimerPeak, &e.Bytes, &e.Recuts,
-				&e.Barriers, &e.Windows, &e.IdleWindows, &e.MeanHorizon)
+			_, err = fmt.Sscanf(rest, "%d %d %d %d %d",
+				&e.At, &e.FrameLive, &e.FramePeak, &e.TimerPeak, &e.Bytes)
 			tl.Engine = append(tl.Engine, e)
 		default:
 			err = fmt.Errorf("unknown verb %q", verb)

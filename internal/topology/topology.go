@@ -14,11 +14,8 @@ package topology
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"runtime"
 	"slices"
 	"sort"
-	"time"
 
 	"github.com/daiet/daiet/internal/hashing"
 	"github.com/daiet/daiet/internal/netsim"
@@ -165,351 +162,6 @@ func FatTree(k int, cfg netsim.LinkConfig) (*Plan, error) {
 		}
 	}
 	return p, nil
-}
-
-// PartitionGroups computes the rack-cut partitioning of the plan for the
-// parallel event engine (netsim.Network.Partition): one unit per rack (an
-// edge switch plus the hosts attached to it), hostless switches (spines,
-// aggregations, cores) pooled into one fabric unit. Cutting at rack
-// boundaries keeps the chatty host<->leaf traffic inside one domain and
-// pays synchronization only on inter-rack links.
-//
-// Units are packed into the n groups by predicted event load (each unit's
-// link-degree sum — every port an attached link gives a unit node is a
-// stream of frame-delivery work), longest-processing-time first into the
-// currently lightest group. Uneven fabrics (racks of different sizes, a fat
-// spine unit) therefore come out with the lowest predicted skew a static
-// assignment can give, instead of whatever round-robin dealt — the measured
-// counterpart is netsim.Network.DomainEvents. Ties break deterministically
-// (first group wins), so the grouping is a pure function of the plan.
-//
-// When n exceeds the number of rack units (a single-switch plan, say), the
-// plan is cut inside racks instead: nodes are dealt individually, so the
-// fan-in senders of an incast spread across domains. Any grouping is
-// correct — the cut only affects the lookahead window, never results.
-func (p *Plan) PartitionGroups(n int) [][]netsim.NodeID {
-	all := make([]netsim.NodeID, 0, len(p.Switches)+len(p.Hosts))
-	all = append(all, p.Switches...)
-	all = append(all, p.Hosts...)
-	if n <= 1 || len(all) <= 1 {
-		return [][]netsim.NodeID{all}
-	}
-	if n > len(all) {
-		n = len(all)
-	}
-
-	units := p.partitionUnits()
-	if len(units) >= n {
-		deg := p.degrees()
-		weights := make([]float64, len(units))
-		for i, u := range units {
-			for _, id := range u {
-				weights[i] += float64(deg[id])
-			}
-		}
-		return lptPack(units, weights, n)
-	}
-	// Fewer racks than requested domains: cut inside racks, dealing nodes
-	// individually (unit order keeps each switch near the front of its bin).
-	bins := make([][]netsim.NodeID, n)
-	i := 0
-	for _, u := range units {
-		for _, id := range u {
-			bins[i%n] = append(bins[i%n], id)
-			i++
-		}
-	}
-	return bins
-}
-
-// SetCorePropagation sets the propagation delay of every switch-to-switch
-// link of the plan, leaving host links untouched. Rack cuts run along the
-// core tier, so this is the knob that widens (or narrows) the partitioned
-// engine's synchronization lookahead: the syncproto figure sweeps it to
-// contrast short- and long-haul cut channels.
-func (p *Plan) SetCorePropagation(d time.Duration) {
-	for i := range p.Links {
-		if IsSwitchID(p.Links[i].A) && IsSwitchID(p.Links[i].B) {
-			p.Links[i].Cfg.Propagation = d
-		}
-	}
-}
-
-// NoCutLink marks a domain pair with no direct cut link in the matrix
-// CutLookaheads returns.
-const NoCutLink = time.Duration(math.MaxInt64)
-
-// CutLookaheads extracts, for a prospective grouping, the minimum
-// propagation delay over the cut links between every ordered domain pair —
-// the direct per-channel lookahead structure the partitioned engine will
-// synchronize on (the engine adds one serialization tick per link and
-// closes the matrix over relay paths). Pairs with no direct cut link hold
-// NoCutLink; the diagonal always does. Tests and figures use it to confirm
-// a topology really has the heterogeneous cut (one short channel among
-// long ones) a sync-protocol comparison needs.
-func (p *Plan) CutLookaheads(groups [][]netsim.NodeID) [][]time.Duration {
-	dom := make(map[netsim.NodeID]int, len(p.Hosts)+len(p.Switches))
-	for g, ids := range groups {
-		for _, id := range ids {
-			dom[id] = g
-		}
-	}
-	la := make([][]time.Duration, len(groups))
-	for i := range la {
-		la[i] = make([]time.Duration, len(groups))
-		for j := range la[i] {
-			la[i][j] = NoCutLink
-		}
-	}
-	for _, l := range p.Links {
-		a, aok := dom[l.A]
-		b, bok := dom[l.B]
-		if !aok || !bok || a == b {
-			continue
-		}
-		// Links realize bidirectionally, so the channel exists both ways.
-		if l.Cfg.Propagation < la[a][b] {
-			la[a][b] = l.Cfg.Propagation
-			la[b][a] = l.Cfg.Propagation
-		}
-	}
-	return la
-}
-
-// lptPack is the one LPT bin-packing implementation shared by the static
-// cut (PartitionGroups) and the measured-rate re-cut (Reweigh): heaviest
-// unit first, into the currently lightest bin. The stable sort and
-// first-minimum scan break ties deterministically, so the packing is a
-// pure function of (units, weights, n).
-func lptPack(units [][]netsim.NodeID, weights []float64, n int) [][]netsim.NodeID {
-	bins := make([][]netsim.NodeID, n)
-	order := make([]int, len(units))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return weights[order[a]] > weights[order[b]]
-	})
-	loads := make([]float64, n)
-	for _, ui := range order {
-		min := 0
-		for b := 1; b < n; b++ {
-			if loads[b] < loads[min] {
-				min = b
-			}
-		}
-		bins[min] = append(bins[min], units[ui]...)
-		loads[min] += weights[ui]
-	}
-	return bins
-}
-
-// degrees counts link endpoints per node — the static proxy for each node's
-// event rate the group balancer packs by.
-func (p *Plan) degrees() map[netsim.NodeID]int {
-	deg := make(map[netsim.NodeID]int, len(p.Hosts)+len(p.Switches))
-	for _, l := range p.Links {
-		deg[l.A]++
-		deg[l.B]++
-	}
-	return deg
-}
-
-// PredictedLoads returns each group's predicted event load (link-degree
-// sum) under the plan's weight model — the quantity PartitionGroups
-// balances. Exposed so tests and diagnostics can quantify cut skew against
-// the measured netsim.Network.DomainEvents.
-func (p *Plan) PredictedLoads(groups [][]netsim.NodeID) []int {
-	deg := p.degrees()
-	loads := make([]int, len(groups))
-	for i, g := range groups {
-		for _, id := range g {
-			loads[i] += deg[id]
-		}
-	}
-	return loads
-}
-
-// Reweigh computes a re-cut of the plan's rack units from measured
-// per-domain event counts: the same LPT packing as PartitionGroups, but
-// with each unit's static link-degree weight scaled by how much hotter or
-// colder its current domain ran than the static model predicted
-// (measured share / predicted share). A domain that did twice its
-// predicted share of the work makes all of its units twice as heavy, so
-// the re-cut spreads them; a cold domain's units merge. current is the
-// grouping in effect (one group per domain, as netsim reports it) and
-// measured the per-domain event counts over the measurement window.
-// Returns nil — keep the current cut — when nothing was measured or the
-// shapes do not line up.
-func (p *Plan) Reweigh(current [][]netsim.NodeID, measured []uint64) [][]netsim.NodeID {
-	n := len(current)
-	if n == 0 || len(measured) != n {
-		return nil
-	}
-	var total uint64
-	for _, m := range measured {
-		total += m
-	}
-	predicted := p.PredictedLoads(current)
-	predTotal := 0
-	for _, l := range predicted {
-		predTotal += l
-	}
-	if total == 0 || predTotal == 0 {
-		return nil
-	}
-	domOf := make(map[netsim.NodeID]int, len(p.Hosts)+len(p.Switches))
-	for i, g := range current {
-		for _, id := range g {
-			domOf[id] = i
-		}
-	}
-	factor := make([]float64, n)
-	for i := range factor {
-		predShare := float64(predicted[i]) / float64(predTotal)
-		measShare := float64(measured[i]) / float64(total)
-		if predShare <= 0 {
-			factor[i] = 1
-		} else {
-			factor[i] = measShare / predShare
-		}
-	}
-	units := p.partitionUnits()
-	if len(units) < n {
-		return nil // sub-rack cuts keep their initial dealing
-	}
-	deg := p.degrees()
-	weights := make([]float64, len(units))
-	for i, u := range units {
-		for _, id := range u {
-			w := float64(deg[id])
-			if dom, ok := domOf[id]; ok {
-				w *= factor[dom]
-			}
-			weights[i] += w
-		}
-	}
-	return lptPack(units, weights, n)
-}
-
-// partitionUnits computes the plan's atomic partition units: one unit per
-// rack (an edge switch plus its attached hosts), hostless switches pooled
-// into one fabric unit, orphan hosts one unit each.
-func (p *Plan) partitionUnits() [][]netsim.NodeID {
-	// Host -> attached switch (first link wins; every plan this package
-	// builds gives hosts exactly one uplink).
-	attach := make(map[netsim.NodeID]netsim.NodeID, len(p.Hosts))
-	for _, l := range p.Links {
-		h, sw := l.A, l.B
-		if IsSwitchID(h) {
-			h, sw = sw, h
-		}
-		if IsSwitchID(h) || !IsSwitchID(sw) {
-			continue // switch-switch or host-host link
-		}
-		if _, ok := attach[h]; !ok {
-			attach[h] = sw
-		}
-	}
-	hostsOf := make(map[netsim.NodeID][]netsim.NodeID, len(p.Switches))
-	for _, h := range p.Hosts {
-		if sw, ok := attach[h]; ok {
-			hostsOf[sw] = append(hostsOf[sw], h)
-		}
-	}
-
-	var units [][]netsim.NodeID
-	var spine []netsim.NodeID
-	for _, sw := range p.Switches {
-		if hs := hostsOf[sw]; len(hs) > 0 {
-			unit := make([]netsim.NodeID, 0, 1+len(hs))
-			units = append(units, append(append(unit, sw), hs...))
-		} else {
-			spine = append(spine, sw)
-		}
-	}
-	if len(spine) > 0 {
-		units = append(units, spine)
-	}
-	for _, h := range p.Hosts {
-		if _, ok := attach[h]; !ok {
-			units = append(units, []netsim.NodeID{h})
-		}
-	}
-	return units
-}
-
-// PartitionUnits returns how many rack-cut units the plan decomposes into —
-// the natural upper bound on useful event-engine domains (beyond it, cuts
-// land inside racks and synchronize on short edge-link latencies).
-func (p *Plan) PartitionUnits() int { return len(p.partitionUnits()) }
-
-// AutoPartitions is the domain count Partitions picks for n == 0:
-// min(rack-cut units, GOMAXPROCS). More domains than units would cut inside
-// racks; more than GOMAXPROCS would multiplex goroutines with no cores to
-// run them.
-func (p *Plan) AutoPartitions() int {
-	n := p.PartitionUnits()
-	if procs := runtime.GOMAXPROCS(0); procs < n {
-		n = procs
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Partitions splits the realized fabric into n parallel event-engine
-// domains along the plan's rack cut (see PartitionGroups). n == 1 keeps the
-// sequential engine; n <= 0 autotunes the count via AutoPartitions. Must be
-// called before any traffic is injected.
-func (f *Fabric) Partitions(n int) error {
-	if n <= 0 {
-		n = f.Plan.AutoPartitions()
-	}
-	if n <= 1 {
-		return nil
-	}
-	return f.Net.Partition(f.Plan.PartitionGroups(n))
-}
-
-// RecutConfig enables measured-skew dynamic re-partitioning on top of the
-// static rack cut (see Fabric.PartitionsDynamic). The zero value disables
-// re-cutting, so it can ride along in experiment configs at no cost.
-type RecutConfig struct {
-	// Every is the virtual-time cadence of skew evaluations; <= 0 disables
-	// dynamic re-cutting.
-	Every time.Duration
-	// MinSkewPct is the measured event-count skew — busiest domain over
-	// the mean, in percent — above which the cut is recomputed.
-	MinSkewPct float64
-	// Seed, when non-zero, jitters the evaluation schedule (netsim's
-	// seeded random re-cut points, used by the conformance tests).
-	Seed uint64
-}
-
-// PartitionsDynamic is Partitions plus a dynamic re-cut policy: at every
-// evaluation point the engine's measured per-domain event counts
-// (netsim.Network.DomainEvents deltas) are compared against the cut's
-// prediction, and when the skew exceeds rc.MinSkewPct the rack units are
-// re-packed by Plan.Reweigh — the same LPT as the initial cut, driven by
-// measured rates. Determinism is unchanged: any re-cut schedule replays
-// byte-identically (the re-cut only moves state between engines, never
-// reorders events).
-func (f *Fabric) PartitionsDynamic(n int, rc RecutConfig) error {
-	if err := f.Partitions(n); err != nil {
-		return err
-	}
-	if rc.Every <= 0 || f.Net.Domains() <= 1 {
-		return nil
-	}
-	plan := f.Plan
-	return f.Net.SetRecutPolicy(netsim.RecutPolicy{
-		Interval:   netsim.Duration(rc.Every),
-		MinSkewPct: rc.MinSkewPct,
-		Seed:       rc.Seed,
-		Groups:     plan.Reweigh,
-	})
 }
 
 // Edge is one adjacency entry: the local out-port that reaches Peer.

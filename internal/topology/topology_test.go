@@ -2,9 +2,7 @@ package topology
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"github.com/daiet/daiet/internal/netsim"
 )
@@ -243,130 +241,6 @@ func TestECMPStillLoopFreePerDestination(t *testing.T) {
 	}
 }
 
-// TestPartitionGroupsCoverEveryNodeOnce: the rack-cut grouping is a true
-// partition of every plan shape, at any requested domain count.
-func TestPartitionGroupsCoverEveryNodeOnce(t *testing.T) {
-	plans := []*Plan{
-		SingleSwitch(25, netsim.LinkConfig{}),
-		LeafSpine(3, 2, 6, netsim.LinkConfig{}),
-		LeafSpine(8, 4, 12, netsim.LinkConfig{}),
-	}
-	if ft, err := FatTree(4, netsim.LinkConfig{}); err != nil {
-		t.Fatal(err)
-	} else {
-		plans = append(plans, ft)
-	}
-	for _, p := range plans {
-		total := len(p.Hosts) + len(p.Switches)
-		for _, n := range []int{1, 2, 4, 7, total, total + 5} {
-			groups := p.PartitionGroups(n)
-			if len(groups) > n && n >= 1 {
-				t.Fatalf("%s n=%d: %d groups", p.Name, n, len(groups))
-			}
-			seen := map[netsim.NodeID]int{}
-			for _, g := range groups {
-				for _, id := range g {
-					seen[id]++
-				}
-			}
-			if len(seen) != total {
-				t.Fatalf("%s n=%d: groups cover %d of %d nodes", p.Name, n, len(seen), total)
-			}
-			for id, c := range seen {
-				if c != 1 {
-					t.Fatalf("%s n=%d: node %d in %d groups", p.Name, n, id, c)
-				}
-			}
-		}
-	}
-}
-
-// TestPartitionGroupsRackCut: with one domain per rack, every host lands in
-// the same group as its leaf switch — the cut runs along inter-rack links.
-func TestPartitionGroupsRackCut(t *testing.T) {
-	const leaves, spines, perLeaf = 4, 2, 6
-	p := LeafSpine(leaves, spines, perLeaf, netsim.LinkConfig{})
-	groups := p.PartitionGroups(leaves) // spine unit folds into a rack bin
-	groupOf := map[netsim.NodeID]int{}
-	for gi, g := range groups {
-		for _, id := range g {
-			groupOf[id] = gi
-		}
-	}
-	for _, l := range p.Links {
-		h, sw := l.A, l.B
-		if IsSwitchID(h) {
-			h, sw = sw, h
-		}
-		if IsSwitchID(h) || !IsSwitchID(sw) {
-			continue // leaf-spine link: allowed to cross
-		}
-		if groupOf[h] != groupOf[sw] {
-			t.Fatalf("host %d split from its leaf %d (groups %d vs %d)",
-				h, sw, groupOf[h], groupOf[sw])
-		}
-	}
-}
-
-// TestFabricPartitionsRuns: a partitioned realized fabric still delivers.
-func TestFabricPartitionsRuns(t *testing.T) {
-	p := LeafSpine(3, 2, 4, netsim.LinkConfig{})
-	f := realize(t, p)
-	if err := f.Partitions(3); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Net.Domains(); got != 3 {
-		t.Fatalf("domains = %d, want 3", got)
-	}
-	if err := f.Partitions(1); err != nil { // n<=1 stays a no-op request
-		t.Fatal(err)
-	}
-	if err := f.Net.Run(0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPartitionAutotune: Partitions(0) picks min(rack-cut units,
-// GOMAXPROCS) instead of falling back to the sequential engine.
-func TestPartitionAutotune(t *testing.T) {
-	p := LeafSpine(3, 2, 4, netsim.LinkConfig{})
-	if got := p.PartitionUnits(); got != 4 { // 3 racks + 1 spine pool
-		t.Fatalf("PartitionUnits = %d, want 4", got)
-	}
-
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-	if got := p.AutoPartitions(); got != 4 {
-		t.Fatalf("AutoPartitions at GOMAXPROCS=8: %d, want 4", got)
-	}
-	f := realize(t, p)
-	if err := f.Partitions(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Net.Domains(); got != 4 {
-		t.Fatalf("auto domains = %d, want 4", got)
-	}
-
-	runtime.GOMAXPROCS(2)
-	if got := p.AutoPartitions(); got != 2 {
-		t.Fatalf("AutoPartitions at GOMAXPROCS=2: %d, want 2", got)
-	}
-
-	// A single-switch plan has one rack unit: auto stays sequential.
-	runtime.GOMAXPROCS(8)
-	single := SingleSwitch(6, netsim.LinkConfig{})
-	if got := single.AutoPartitions(); got != 1 {
-		t.Fatalf("single-switch AutoPartitions = %d, want 1", got)
-	}
-	fs := realize(t, single)
-	if err := fs.Partitions(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.Net.Domains(); got != 1 {
-		t.Fatalf("single-switch auto domains = %d, want 1", got)
-	}
-}
-
 // TestPathAvoiding: failover path queries route around dead switches and
 // links, and report unreachability when nothing survives.
 func TestPathAvoiding(t *testing.T) {
@@ -411,90 +285,6 @@ func TestPathAvoiding(t *testing.T) {
 	}
 }
 
-// unevenPlan is a handcrafted fabric with very different rack sizes: one
-// giant rack (16 hosts), three tiny ones (2 hosts each), and a spine.
-func unevenPlan() *Plan {
-	p := &Plan{Name: "uneven"}
-	spine := SwitchBase + 100
-	p.Switches = append(p.Switches, spine)
-	h := HostBase
-	for rack, size := range []int{16, 2, 2, 2} {
-		sw := SwitchBase + netsim.NodeID(rack)
-		p.Switches = append(p.Switches, sw)
-		p.Links = append(p.Links, Link{A: sw, B: spine})
-		for i := 0; i < size; i++ {
-			p.Hosts = append(p.Hosts, h)
-			p.Links = append(p.Links, Link{A: h, B: sw})
-			h++
-		}
-	}
-	return p
-}
-
-// TestPartitionGroupsBalanced: LPT packing must not stack the giant rack
-// with other units while bins sit near-empty — the predicted max load is
-// the giant rack alone, which no static rack-cut assignment can beat.
-func TestPartitionGroupsBalanced(t *testing.T) {
-	p := unevenPlan()
-	groups := p.PartitionGroups(2)
-	loads := p.PredictedLoads(groups)
-	if len(loads) != 2 {
-		t.Fatalf("groups %d", len(loads))
-	}
-	max, sum := 0, 0
-	for _, l := range loads {
-		sum += l
-		if l > max {
-			max = l
-		}
-	}
-	// The giant rack (16 hosts × deg 1 + leaf deg 17 = 33) is the floor for
-	// the max bin; everything else must be packed opposite it.
-	deg := p.degrees()
-	giant := deg[SwitchBase]
-	for _, h := range p.Hosts[:16] {
-		giant += deg[h]
-	}
-	if max != giant {
-		t.Fatalf("max predicted load %d (loads %v), want the giant rack alone (%d)", max, loads, giant)
-	}
-	if min := sum - max; min == 0 {
-		t.Fatalf("one bin empty: loads %v", loads)
-	}
-}
-
-// TestDomainEventsMatchPartition: the per-domain executed-event counters sum
-// to the fabric total and follow the cut's load split.
-func TestDomainEventsMatchPartition(t *testing.T) {
-	p := LeafSpine(3, 1, 4, netsim.LinkConfig{})
-	nw := netsim.New(7)
-	mk := func(netsim.NodeID) netsim.Node { return nopNode{} }
-	f := p.Realize(nw, mk, mk)
-	if err := f.Partitions(3); err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range p.Hosts {
-		nw.Send(h, 0, make([]byte, 64))
-	}
-	if err := nw.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	ev := nw.DomainEvents()
-	if len(ev) != 3 {
-		t.Fatalf("DomainEvents len %d, want 3", len(ev))
-	}
-	var sum uint64
-	for _, e := range ev {
-		sum += e
-	}
-	if sum != nw.Processed() {
-		t.Fatalf("DomainEvents sum %d != Processed %d", sum, nw.Processed())
-	}
-	if sum == 0 {
-		t.Fatal("no events executed")
-	}
-}
-
 // TestRealizeInstallsPools: pools declared on the plan are live on the
 // realized network, and poolless nodes keep the QueueBytes fallback.
 func TestRealizeInstallsPools(t *testing.T) {
@@ -509,208 +299,5 @@ func TestRealizeInstallsPools(t *testing.T) {
 	}
 	if _, ok := nw.PoolStats(p.Hosts[0]); ok {
 		t.Fatal("host unexpectedly has a pool")
-	}
-}
-
-// TestReweighSharesLPTWithInitialCut: with measured loads exactly matching
-// the static prediction, Reweigh must reproduce the initial cut — one LPT
-// implementation, two callers.
-func TestReweighSharesLPTWithInitialCut(t *testing.T) {
-	p := unevenPlan()
-	groups := p.PartitionGroups(2)
-	pred := p.PredictedLoads(groups)
-	measured := make([]uint64, len(pred))
-	for i, l := range pred {
-		measured[i] = uint64(l) * 1000 // same shares, different magnitude
-	}
-	re := p.Reweigh(groups, measured)
-	if re == nil {
-		t.Fatal("Reweigh returned nil for a valid measurement")
-	}
-	if fmt.Sprint(re) != fmt.Sprint(groups) {
-		t.Fatalf("prediction-matching measurement changed the cut:\nstatic: %v\nreweigh: %v", groups, re)
-	}
-}
-
-// TestReweighUnevenRacks: when the measured rates contradict the static
-// model — the giant rack ran cold, the small racks ran hot — the re-cut
-// must rebalance by measured weight, moving small racks away from the
-// domain the static model overloaded.
-func TestReweighUnevenRacks(t *testing.T) {
-	p := unevenPlan()
-	groups := p.PartitionGroups(2)
-	// Find the domain holding the giant rack (leaf SwitchBase+0).
-	giantDom := -1
-	for i, g := range groups {
-		for _, id := range g {
-			if id == SwitchBase {
-				giantDom = i
-			}
-		}
-	}
-	if giantDom < 0 {
-		t.Fatal("giant rack not placed")
-	}
-	// Measure the giant rack's domain as nearly idle and the rest as hot.
-	measured := make([]uint64, len(groups))
-	for i := range measured {
-		if i == giantDom {
-			measured[i] = 1
-		} else {
-			measured[i] = 100_000
-		}
-	}
-	re := p.Reweigh(groups, measured)
-	if re == nil {
-		t.Fatal("Reweigh returned nil")
-	}
-	// Every node still appears exactly once.
-	seen := map[netsim.NodeID]int{}
-	for _, g := range re {
-		for _, id := range g {
-			seen[id]++
-		}
-	}
-	for _, id := range append(append([]netsim.NodeID(nil), p.Switches...), p.Hosts...) {
-		if seen[id] != 1 {
-			t.Fatalf("node %d appears %d times in re-cut %v", id, seen[id], re)
-		}
-	}
-	// The cold giant rack must now share its domain with other units: its
-	// measured weight no longer justifies a domain of its own.
-	for i, g := range re {
-		hasGiant := false
-		for _, id := range g {
-			if id == SwitchBase {
-				hasGiant = true
-			}
-		}
-		if hasGiant && len(g) <= 17 {
-			t.Fatalf("group %d still holds the giant rack alone (%d nodes): %v", i, len(g), re)
-		}
-	}
-	// Degenerate measurements keep the current cut.
-	if got := p.Reweigh(groups, make([]uint64, len(groups))); got != nil {
-		t.Fatalf("all-zero measurement re-cut: %v", got)
-	}
-	if got := p.Reweigh(groups, []uint64{1}); got != nil {
-		t.Fatal("shape-mismatched measurement accepted")
-	}
-	if got := p.Reweigh(nil, nil); got != nil {
-		t.Fatal("empty current accepted")
-	}
-}
-
-// TestPartitionsDynamicRuns: the dynamic variant behaves like Partitions
-// and installs a live policy that re-cuts deterministically.
-func TestPartitionsDynamicRuns(t *testing.T) {
-	run := func(rc RecutConfig, n int) (string, uint64) {
-		p := LeafSpine(4, 1, 3, netsim.LinkConfig{})
-		nw := netsim.New(11)
-		mk := func(netsim.NodeID) netsim.Node { return nopNode{} }
-		f := p.Realize(nw, mk, mk)
-		if err := f.PartitionsDynamic(n, rc); err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 50; round++ {
-			for _, h := range p.Hosts {
-				nw.Send(h, 0, make([]byte, 64))
-			}
-			if err := nw.RunUntil(netsim.Duration(time.Duration(round+1) * 40 * time.Microsecond)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := nw.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("%v %d %v", nw.Now(), nw.Processed(), nw.TotalStats()), nw.Recuts()
-	}
-	static, recuts := run(RecutConfig{}, 4)
-	if recuts != 0 {
-		t.Fatalf("zero RecutConfig re-cut %d times", recuts)
-	}
-	dyn, _ := run(RecutConfig{Every: 30 * time.Microsecond, MinSkewPct: 1, Seed: 3}, 4)
-	if dyn != static {
-		t.Fatalf("dynamic re-cut changed results:\nstatic: %s\ndynamic: %s", static, dyn)
-	}
-	seq, _ := run(RecutConfig{Every: 30 * time.Microsecond, MinSkewPct: 1, Seed: 3}, 1)
-	if seq != static {
-		t.Fatalf("sequential diverged:\nstatic: %s\nsequential: %s", static, seq)
-	}
-}
-
-// TestSetCorePropagation: only switch-to-switch links change; host access
-// links keep their configured delay.
-func TestSetCorePropagation(t *testing.T) {
-	p := LeafSpine(4, 2, 3, netsim.LinkConfig{Propagation: 500 * time.Nanosecond})
-	p.SetCorePropagation(20 * time.Microsecond)
-	core, access := 0, 0
-	for _, l := range p.Links {
-		if IsSwitchID(l.A) && IsSwitchID(l.B) {
-			core++
-			if l.Cfg.Propagation != 20*time.Microsecond {
-				t.Fatalf("core link %v-%v propagation %v", l.A, l.B, l.Cfg.Propagation)
-			}
-		} else {
-			access++
-			if l.Cfg.Propagation != 500*time.Nanosecond {
-				t.Fatalf("access link %v-%v propagation changed to %v", l.A, l.B, l.Cfg.Propagation)
-			}
-		}
-	}
-	if core != 4*2 || access != 4*3 {
-		t.Fatalf("saw %d core and %d access links", core, access)
-	}
-}
-
-// TestCutLookaheads pins the per-pair extraction: minimum over the cut
-// links of each pair, NoCutLink where no direct link crosses, symmetric,
-// NoCutLink diagonal.
-func TestCutLookaheads(t *testing.T) {
-	p := LeafSpine(2, 2, 2, netsim.LinkConfig{Propagation: 10 * time.Microsecond})
-	// One short core link: leaf 0 to spine 0.
-	short := 100 * time.Nanosecond
-	leaf0, spine0 := p.Switches[0], p.Switches[2]
-	found := false
-	for i := range p.Links {
-		if p.Links[i].A == leaf0 && p.Links[i].B == spine0 {
-			p.Links[i].Cfg.Propagation = short
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no leaf0-spine0 link in the plan")
-	}
-
-	// Three groups: leaf0 rack, leaf1 rack, the two spines.
-	groups := [][]netsim.NodeID{
-		{p.Switches[0], p.Hosts[0], p.Hosts[1]},
-		{p.Switches[1], p.Hosts[2], p.Hosts[3]},
-		{p.Switches[2], p.Switches[3]},
-	}
-	la := p.CutLookaheads(groups)
-	if len(la) != 3 {
-		t.Fatalf("matrix rank %d", len(la))
-	}
-	for i := range la {
-		if la[i][i] != NoCutLink {
-			t.Fatalf("diagonal [%d][%d] = %v", i, i, la[i][i])
-		}
-		for j := range la {
-			if la[i][j] != la[j][i] {
-				t.Fatalf("asymmetric: [%d][%d]=%v [%d][%d]=%v", i, j, la[i][j], j, i, la[j][i])
-			}
-		}
-	}
-	// Racks never link to each other directly; both reach the spine group,
-	// rack 0 through the shortened link.
-	if la[0][1] != NoCutLink {
-		t.Fatalf("rack-rack channel %v, want NoCutLink", la[0][1])
-	}
-	if la[0][2] != short {
-		t.Fatalf("rack0-spine channel %v, want %v", la[0][2], short)
-	}
-	if la[1][2] != 10*time.Microsecond {
-		t.Fatalf("rack1-spine channel %v, want %v", la[1][2], 10*time.Microsecond)
 	}
 }

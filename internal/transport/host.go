@@ -98,14 +98,13 @@ func (h *Host) ephemeralPort() uint16 {
 }
 
 // After schedules fn on the fabric's clock, satisfying core.TimerCarrier
-// for the reliability extension. The timer is routed to the event-engine
-// domain that owns this host, so it works identically on partitioned
-// fabrics.
+// for the reliability extension. The timer is owned by this host (see
+// netsim.Network.NodeAfter).
 func (h *Host) After(d time.Duration, fn func()) {
 	h.nw.NodeAfter(h.id, netsim.Duration(d), fn)
 }
 
-// Now returns the host's current virtual time (its domain clock).
+// Now returns the current virtual time.
 func (h *Host) Now() netsim.Time { return h.nw.NodeNow(h.id) }
 
 // txAccount records one egress frame in the NIC counters; every transmit
