@@ -33,7 +33,7 @@ var arenaTypes = []string{"frameArena", "fnArena"}
 
 // arenaFuncs may touch arena internals and event slots: the scheduling
 // helpers (slot birth), Step (slot death), and the stats reader.
-var arenaFuncs = []string{"scheduleOwned", "scheduleFrame", "Step", "ArenaStats"}
+var arenaFuncs = []string{"Schedule", "scheduleFrame", "Step", "ArenaStats"}
 
 var Analyzer = &framework.Analyzer{
 	Name: "arenaescape",

@@ -21,24 +21,21 @@ type frameArena struct {
 }
 
 type fnArena struct {
-	fn    []func()
-	owner []NodeID
-	live  int
+	fn   []func()
+	live int
 }
 
 type event struct {
 	at   Time
-	src  uint64
 	seq  uint64
 	slot int32
-	exec uint32
 }
 
 type Engine struct {
 	frames frameArena
 	fns    fnArena
 	events []event
-	origin uint64
+	seq    uint64
 	now    Time
 }
 
@@ -64,9 +61,9 @@ func (a *frameArena) take(slot int32) (Node, int32, []byte) {
 }
 
 // The scheduling helpers are the slot's only birthplaces.
-func (e *Engine) scheduleFrame(at Time, src, seq uint64, dst NodeID, n Node, port int32, frame []byte) {
-	slot := e.frames.alloc(n, port, frame)
-	e.events = append(e.events, event{at: at, src: src, seq: seq, slot: slot, exec: uint32(dst)})
+func (e *Engine) scheduleFrame(at Time, n Node, port int32, frame []byte) {
+	e.seq++
+	e.events = append(e.events, event{at: at, seq: e.seq, slot: e.frames.alloc(n, port, frame)})
 }
 
 func (e *Engine) Step() {
@@ -116,7 +113,7 @@ func (e *Engine) badEventForge(at Time, slot int32) {
 // goodEventNoSlot: slotless event literals (heap sentinels, tests) are
 // fine anywhere.
 func (e *Engine) goodEventNoSlot(at Time) {
-	e.events = append(e.events, event{at: at, src: e.origin})
+	e.events = append(e.events, event{at: at, seq: e.seq})
 }
 
 // suppressedPeek keeps the escape hatch working.

@@ -38,7 +38,7 @@ var sinkPrefixes = []string{
 
 // sinkExact are exact callee names with the same property.
 var sinkExact = map[string]bool{
-	"After": true, "NodeAfter": true, "Sum": true, "Sum64": true, "Mix64": true,
+	"After": true, "Sum": true, "Sum64": true, "Mix64": true,
 }
 
 func run(pass *framework.Pass) error {

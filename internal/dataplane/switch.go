@@ -100,13 +100,13 @@ func (s *Switch) ResetBuffers() { s.nw.ResetPool(s.id) }
 // Down reports whether the switch is crashed.
 func (s *Switch) Down() bool { return s.down }
 
-// After schedules fn as a timer owned by the switch, d ticks from the
-// current virtual time — the control-logic timer the replay-buffer
-// retransmitter uses. Valid after Attach.
-func (s *Switch) After(d netsim.Time, fn func()) { s.nw.NodeAfter(s.id, d, fn) }
+// After schedules fn d ticks from the current virtual time — the
+// control-logic timer the replay-buffer retransmitter uses. Valid after
+// Attach.
+func (s *Switch) After(d netsim.Time, fn func()) { s.nw.Eng.After(d, fn) }
 
 // Now returns the current virtual time.
-func (s *Switch) Now() netsim.Time { return s.nw.NodeNow(s.id) }
+func (s *Switch) Now() netsim.Time { return s.nw.Now() }
 
 // Inject transmits a program-generated frame out of port from control
 // logic running outside a pipeline pass (timer-driven retransmission),
@@ -237,14 +237,14 @@ func (s *Switch) process(ctx *Ctx) {
 		s.Counters.Recirculated++
 		s.trace(trace.KindRecirculate, int64(ctx.RecircCount), 0, "")
 		ctx.resetForPass()
-		s.nw.NodeAfter(s.id, s.RecircLatency, func() { s.process(ctx) })
+		s.After(s.RecircLatency, func() { s.process(ctx) })
 	case VerdictStall:
 		// Waiting on external state: retry the pass later without charging
 		// the recirculation limit (progress resumes when the state changes,
 		// not when the pipeline loops).
 		s.Counters.Stalls++
 		ctx.resetForPass()
-		s.nw.NodeAfter(s.id, s.StallLatency, func() { s.process(ctx) })
+		s.After(s.StallLatency, func() { s.process(ctx) })
 	default:
 		s.Counters.DropsProgram++
 		s.trace(trace.KindDrop, int64(ctx.InPort), 0, "program drop")

@@ -250,10 +250,9 @@ func Incast(cfg IncastConfig) (*IncastResult, error) {
 		}
 		// Staggered start: each sender begins at its own deterministic
 		// offset, drawn from its seed stream after the pairs so jitter
-		// never perturbs the workload itself. Scheduled at setup as a timer
-		// owned by the sender's own node.
+		// never perturbs the workload itself.
 		delay := netsim.Time(rng.Int63n(int64(netsim.Duration(cfg.StartJitter)) + 1))
-		nw.NodeAfter(w, delay, feed)
+		nw.Eng.After(delay, feed)
 	}
 
 	// Bound the run: retransmission storms terminate (cumulative ACKs make

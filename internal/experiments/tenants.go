@@ -226,7 +226,7 @@ func Tenants(cfg TenantsConfig) (*TenantsResult, error) {
 		tn.col = core.NewCollector(uint32(reducer), sum, wire.DefaultGeometry, tplan.RootChildren())
 		tn.col.Attach(fb.hosts[reducer])
 		tn.col.EnableRootAck()
-		tn.col.OnComplete = func() { *completion = nw.NodeNow(reducer) }
+		tn.col.OnComplete = func() { *completion = nw.Now() }
 		for i, w := range workers {
 			mux := core.NewAckMux(fb.hosts[w])
 			s, err := core.NewReliableSender(fb.hosts[w], tplan.TreeID, reducer,
@@ -256,7 +256,7 @@ func Tenants(cfg TenantsConfig) (*TenantsResult, error) {
 					part = part[:chunk]
 				}
 				last := (c+1)*chunk >= len(stream)
-				nw.NodeAfter(w, netsim.Time(c)*netsim.Duration(pace), func() {
+				nw.Eng.After(netsim.Time(c)*netsim.Duration(pace), func() {
 					for _, kv := range part {
 						if err := s.Send([]byte(kv.Key), kv.Value); err != nil {
 							*slot = err

@@ -135,11 +135,10 @@ func (c *Cluster) RunJobs(tenants []TenantJob) ([]TenantResult, error) {
 			col := core.NewCollector(uint32(r), aggs[t], c.Cfg.Geometry, plan.RootChildren())
 			col.KeepRaw = true
 			col.Attach(c.Hosts[r])
-			reducer := r
 			col.OnComplete = func() {
 				tr.remaining--
 				if tr.remaining == 0 {
-					tr.completion = c.Net.NodeNow(reducer)
+					tr.completion = c.Net.Now()
 				}
 			}
 			tr.collectors[i] = col

@@ -4,17 +4,14 @@ import "unsafe"
 
 // Slab arenas for the event hot path.
 //
-// Before PR 7 every frame delivery allocated a closure (capturing the
-// destination node, port and payload) that lived on the heap until the
-// event fired — at million-frame scale that is millions of short-lived
-// allocations per simulated second and a GC constantly walking the event
-// heap. Arenas replace the closure with an int32 slot into per-engine
-// struct-of-arrays storage: the fields the heap and halfLink admission
-// touch (timestamps, origin/seq keys) stay inline in the 32-byte event
-// struct, while the delivery record (node, port, payload reference) lives
-// in the engine's arena, recycled through a LIFO free list. Steady state
-// allocates nothing: BenchmarkFrameDelivery, BenchmarkBurstAdmission and
-// BenchmarkMegaIncast all report 0 allocs/op.
+// A frame delivery is an int32 slot into per-engine struct-of-arrays
+// storage rather than a heap-allocated closure: the fields the heap
+// compares (timestamp, insertion sequence) stay inline in the 24-byte
+// event struct, while the delivery record (node, port, payload reference)
+// lives in the engine's arena, recycled through a LIFO free list. Callback
+// events keep their func in a second arena the same way. Steady state
+// allocates nothing: BenchmarkEventLoop, BenchmarkFrameDelivery,
+// BenchmarkBurstAdmission and BenchmarkMegaIncast all report 0 allocs/op.
 //
 // Ownership rule (enforced by the arenaescape analyzer): an arena slot is
 // owned by exactly one engine, from alloc to take. Payloads stay
@@ -80,29 +77,23 @@ func (a *frameArena) bytes() int64 {
 }
 
 // fnArena is the slot store for callback events (timers, control-plane
-// work): the closure plus the node that owns it. Nothing uses owner, but
-// its capacity counts in ArenaStats.Bytes, which the megaincast figure's
-// peak_arena_kb and the benchmark's sim_digest record; dropping it moves
-// both.
+// work).
 type fnArena struct {
-	fn    []func()
-	owner []NodeID
-	free  []int32
-	live  int
-	peak  int
+	fn   []func()
+	free []int32
+	live int
+	peak int
 }
 
-func (a *fnArena) alloc(owner NodeID, fn func()) int32 {
+func (a *fnArena) alloc(fn func()) int32 {
 	var slot int32
 	if k := len(a.free); k > 0 {
 		slot = a.free[k-1]
 		a.free = a.free[:k-1]
 		a.fn[slot] = fn
-		a.owner[slot] = owner
 	} else {
 		slot = int32(len(a.fn))
 		a.fn = append(a.fn, fn)
-		a.owner = append(a.owner, owner)
 	}
 	a.live++
 	if a.live > a.peak {
@@ -112,17 +103,16 @@ func (a *fnArena) alloc(owner NodeID, fn func()) int32 {
 }
 
 // take moves the slot's callback out of the arena and recycles the slot.
-func (a *fnArena) take(slot int32) (func(), NodeID) {
-	fn, owner := a.fn[slot], a.owner[slot]
+func (a *fnArena) take(slot int32) func() {
+	fn := a.fn[slot]
 	a.fn[slot] = nil
 	a.free = append(a.free, slot)
 	a.live--
-	return fn, owner
+	return fn
 }
 
 func (a *fnArena) bytes() int64 {
 	return int64(cap(a.fn))*int64(unsafe.Sizeof((func())(nil))) +
-		int64(cap(a.owner))*int64(unsafe.Sizeof(NodeID(0))) +
 		int64(cap(a.free))*int64(unsafe.Sizeof(int32(0)))
 }
 

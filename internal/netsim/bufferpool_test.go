@@ -453,7 +453,7 @@ func (c *classChatter) HandleFrame(inPort int, frame []byte) {
 	for _, b := range frame {
 		sum = sum*131 + uint32(b)
 	}
-	c.log = append(c.log, fmt.Sprintf("%d:%d:%d:%x", c.nw.NodeNow(c.id), inPort, len(frame), sum))
+	c.log = append(c.log, fmt.Sprintf("%d:%d:%d:%x", c.nw.Now(), inPort, len(frame), sum))
 	if len(frame) < 2 || frame[0] == 0 {
 		return
 	}
@@ -470,7 +470,7 @@ func (c *classChatter) HandleFrame(inPort int, frame []byte) {
 		class := int(nf[1]) % 3
 		if c.rng.Intn(4) == 0 {
 			d := Time(1 + c.rng.Intn(3000))
-			c.nw.NodeAfter(c.id, d, func() { c.nw.SendClass(c.id, port, class, nf) })
+			c.nw.Eng.After(d, func() { c.nw.SendClass(c.id, port, class, nf) })
 		} else {
 			c.nw.SendClass(c.id, port, class, nf)
 		}

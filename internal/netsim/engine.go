@@ -26,31 +26,23 @@ func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 // String renders the time as a time.Duration for diagnostics.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is one scheduled callback, packed to 32 bytes with no pointers so
-// heap sift copies stay cheap and the GC never scans the queue. Events are
-// totally ordered by (at, src, seq): src names the deterministic origin
-// that scheduled the event (a node, a half-link, or 0 for setup code) and
-// seq is that origin's own schedule counter. Because both components are
-// derived from the origin's causal history — never from the global
-// interleaving of the event loop — same-tick order is a property of the
-// simulated fabric, not of how the loop happened to reach the tick. The
-// figure golden (internal/experiments) pins the results that order yields.
+// event is one scheduled callback or frame delivery, packed to 24 bytes
+// with no pointers so heap sift copies stay cheap and the GC never scans
+// the queue. Events are totally ordered by (at, seq): seq is the engine's
+// insertion counter, stamped when the event is pushed, so events due at
+// the same tick run in the order they were scheduled. The same inputs
+// schedule in the same order, so they replay the same run; the figure
+// golden (internal/experiments) pins the results that order yields.
 type event struct {
 	at  Time
-	src uint64
 	seq uint64
 	// slot locates the event's payload in its engine's arenas: slot >= 0
 	// is a frameArena slot (a frame delivery), slot < 0 is ^slot into the
 	// fnArena (a callback). See arena.go.
 	slot int32
-	// exec is the origin context the callback runs under: events the
-	// callback schedules are keyed (exec, exec's counter). For timers this
-	// equals src; for frame deliveries it is the destination node. Always
-	// a 24-bit node ID (or 0 for setup), so it fits uint32.
-	exec uint32
 }
 
-// eventHeap is a monomorphic binary min-heap ordered by (at, src, seq). It
+// eventHeap is a monomorphic binary min-heap ordered by (at, seq). It
 // replaces container/heap, whose interface{}-typed Push/Pop box every
 // event (one allocation per scheduled event) and dispatch comparisons
 // through an interface table — measurable overhead on the simulator's
@@ -58,14 +50,10 @@ type event struct {
 // allocate only when the slice itself grows.
 type eventHeap []event
 
-// less orders events by timestamp, then by the (origin, sequence) key,
-// keeping same-tick events in a deterministic order.
+// less orders events by timestamp, then by insertion order.
 func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
-	}
-	if h[i].src != h[j].src {
-		return h[i].src < h[j].src
 	}
 	return h[i].seq < h[j].seq
 }
@@ -121,90 +109,43 @@ func (h *eventHeap) pop() event {
 type Engine struct {
 	now    Time
 	events eventHeap
+	// seq counts scheduled events; each push stamps the next value.
+	seq uint64
 	// Processed counts executed events, a cheap progress/livelock indicator.
 	Processed uint64
 
 	// frames/fns hold the payloads of queued events (see arena.go).
 	frames frameArena
 	fns    fnArena
-
-	// origin is the ordering-origin context of the currently executing
-	// event (0 outside event execution, i.e. during setup). counter caches
-	// the per-origin schedule counter so the hot path pays one map lookup
-	// per origin *switch*, not per scheduled event.
-	origin   uint64
-	counter  *uint64
-	counters map[uint64]*uint64
 }
 
 // NewEngine returns an engine at time zero with an empty queue.
-func NewEngine() *Engine {
-	e := &Engine{counters: make(map[uint64]*uint64)}
-	e.counter = e.counterFor(0)
-	return e
-}
-
-func (e *Engine) counterFor(origin uint64) *uint64 {
-	c := e.counters[origin]
-	if c == nil {
-		c = new(uint64)
-		e.counters[origin] = c
-	}
-	return c
-}
-
-// setOrigin switches the scheduling context to origin (the executing
-// event's exec field).
-func (e *Engine) setOrigin(origin uint64) {
-	if origin != e.origin {
-		e.origin = origin
-		e.counter = e.counterFor(origin)
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Schedule runs fn at time at. Scheduling in the past is a programming
-// error and panics: allowing it would silently reorder causality. The event
-// is keyed under the current origin context, so callbacks scheduled by one
-// node (or by setup code) keep their relative order.
+// Schedule runs fn at time at, after every event already scheduled for
+// that tick. Scheduling in the past is a programming error and panics:
+// allowing it would silently reorder causality.
 func (e *Engine) Schedule(at Time, fn func()) {
-	e.scheduleOwned(at, NodeID(e.origin), fn)
-}
-
-// scheduleOwned is Schedule with an explicit owner: the node the pending
-// callback belongs to. Network.NodeAfter passes the target node.
-//
-// Setup-context schedules with a real owner are keyed by the owner, not
-// by origin 0, and the callback also *executes* as the owner (exec), so
-// everything it schedules in turn stays owner-keyed: a node's timers are
-// ordered by that node's own history, whoever armed the first one.
-func (e *Engine) scheduleOwned(at Time, owner NodeID, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("netsim: schedule at %v before now %v", at, e.now))
 	}
-	src := e.origin
-	ctr := e.counter
-	if src == 0 && owner != 0 {
-		src = uint64(owner)
-		ctr = e.counterFor(src)
-	}
-	*ctr++
-	slot := e.fns.alloc(owner, fn)
-	e.events.push(event{at: at, src: src, seq: *ctr, slot: ^slot, exec: uint32(src)})
+	e.seq++
+	e.events.push(event{at: at, seq: e.seq, slot: ^e.fns.alloc(fn)})
 }
 
-// scheduleFrame enqueues a frame delivery under an explicit (src, seq)
-// ordering key derived from the transmitting half-link. The delivery
-// record lives in this engine's frame arena; this is the only way a frame
-// enters an arena.
-func (e *Engine) scheduleFrame(at Time, src, seq uint64, dst NodeID, n Node, port int32, frame []byte) {
+// scheduleFrame enqueues the delivery of frame to port of node n, ordered
+// with callbacks by the same insertion counter. The delivery record lives
+// in this engine's frame arena; this is the only way a frame enters an
+// arena.
+func (e *Engine) scheduleFrame(at Time, n Node, port int32, frame []byte) {
 	if at < e.now {
 		panic(fmt.Sprintf("netsim: schedule at %v before now %v", at, e.now))
 	}
-	slot := e.frames.alloc(n, port, frame)
-	e.events.push(event{at: at, src: src, seq: seq, slot: slot, exec: uint32(dst)})
+	e.seq++
+	e.events.push(event{at: at, seq: e.seq, slot: e.frames.alloc(n, port, frame)})
 }
 
 // After runs fn d ticks from now.
@@ -218,15 +159,13 @@ func (e *Engine) Step() bool {
 	ev := e.events.pop()
 	e.now = ev.at
 	e.Processed++
-	e.setOrigin(uint64(ev.exec))
 	if ev.slot >= 0 {
 		n, port, frame := e.frames.take(ev.slot)
 		if n != nil {
 			n.HandleFrame(int(port), frame)
 		}
 	} else {
-		fn, _ := e.fns.take(^ev.slot)
-		fn()
+		e.fns.take(^ev.slot)()
 	}
 	return true
 }
@@ -236,7 +175,6 @@ func (e *Engine) Step() bool {
 // error when events remain beyond the bound and nil when the queue
 // empties — a simulation of exactly maxEvents events succeeds.
 func (e *Engine) Run(maxEvents uint64) error {
-	defer e.setOrigin(0)
 	for i := uint64(0); ; i++ {
 		if maxEvents > 0 && i >= maxEvents {
 			if len(e.events) == 0 {
@@ -260,7 +198,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	if e.now < deadline {
 		e.now = deadline
 	}
-	e.setOrigin(0)
 }
 
 // Pending returns the number of queued events.

@@ -116,7 +116,7 @@ type relay struct {
 
 func (r *relay) Attach(nw *Network, id NodeID) { r.nw, r.id = nw, id }
 func (r *relay) HandleFrame(inPort int, frame []byte) {
-	r.log = append(r.log, fmt.Sprintf("t=%v ttl=%d port=%d", r.nw.NodeNow(r.id), frame[0], inPort))
+	r.log = append(r.log, fmt.Sprintf("t=%v ttl=%d port=%d", r.nw.Now(), frame[0], inPort))
 	if frame[0] == 0 {
 		return
 	}
@@ -126,7 +126,7 @@ func (r *relay) HandleFrame(inPort int, frame []byte) {
 	}
 	next := append([]byte(nil), frame...)
 	next[0]--
-	r.nw.NodeAfter(r.id, 200, func() { r.nw.Send(r.id, out, next) })
+	r.nw.Eng.After(200, func() { r.nw.Send(r.id, out, next) })
 }
 
 // TestRunUntilConformance drives a chain workload — including mid-run link

@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -25,6 +27,76 @@ func TestEngineOrdering(t *testing.T) {
 	}
 	if e.Now() != 30 {
 		t.Fatalf("now = %v", e.Now())
+	}
+}
+
+// TestEventSize pins the queue entry at 24 bytes: time, insertion
+// sequence and arena slot, nothing else.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 24 {
+		t.Fatalf("event is %d bytes, want 24", got)
+	}
+}
+
+// onFrame is a node whose frame handler is a test-supplied func.
+type onFrame struct {
+	handle func(inPort int)
+}
+
+func (n *onFrame) Attach(*Network, NodeID) {}
+func (n *onFrame) HandleFrame(inPort int, frame []byte) {
+	if n.handle != nil {
+		n.handle(inPort)
+	}
+}
+
+// TestSameTickInsertionOrder: events due at one tick run in the order they
+// were scheduled, whoever scheduled them — setup code, a running callback,
+// two nodes' frame handlers, or frame deliveries over two half-links. The
+// node IDs and link creation order are chosen against the schedule order,
+// so any key other than insertion order reorders the tick. It fails if
+// eventHeap.less stops comparing seq, or if scheduleFrame stamps frames
+// from a counter of its own.
+func TestSameTickInsertionOrder(t *testing.T) {
+	const at Time = 6100 // 5 µs + 100 ns serialization + 1 µs propagation
+	nw := New(1)
+	var got []string
+	record := func(label string) {
+		if nw.Now() != at {
+			t.Errorf("%s ran at %v, want %v", label, nw.Now(), at)
+		}
+		got = append(got, label)
+	}
+	mark := func(label string) func() { return func() { record(label) } }
+	// Node 5 hears a frame at 1.1 µs and node 4 at 2.1 µs; each arms a
+	// timer for the tick. Node 2's port 0 faces node 1, port 1 node 3.
+	nw.AddNode(1, &onFrame{})
+	nw.AddNode(2, &onFrame{handle: func(inPort int) {
+		record([]string{"frame-from-1", "frame-from-3"}[inPort])
+	}})
+	nw.AddNode(3, &onFrame{})
+	nw.AddNode(4, &onFrame{handle: func(int) { nw.Eng.Schedule(at, mark("node-4")) }})
+	nw.AddNode(5, &onFrame{handle: func(int) { nw.Eng.Schedule(at, mark("node-5")) }})
+	nw.Connect(1, 5, LinkConfig{})
+	nw.Connect(1, 4, LinkConfig{Propagation: 2 * time.Microsecond})
+	nw.Connect(1, 2, LinkConfig{})
+	nw.Connect(3, 2, LinkConfig{})
+
+	nw.Eng.Schedule(at, mark("setup"))
+	nw.Eng.Schedule(100, func() { nw.Eng.Schedule(at, mark("nested")) })
+	nw.Send(1, 0, make([]byte, 125))
+	nw.Send(1, 1, make([]byte, 125))
+	nw.Eng.Schedule(5000, func() {
+		nw.Send(3, 0, make([]byte, 125))
+		nw.Send(1, 2, make([]byte, 125))
+		nw.Eng.Schedule(at, mark("last"))
+	})
+	if err := nw.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"setup", "nested", "node-5", "node-4", "frame-from-3", "frame-from-1", "last"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("same-tick order %v, want %v", got, want)
 	}
 }
 
@@ -92,7 +164,7 @@ type sink struct {
 func (s *sink) Attach(nw *Network, id NodeID) { s.nw, s.id = nw, id }
 func (s *sink) HandleFrame(inPort int, frame []byte) {
 	s.frames = append(s.frames, frame)
-	s.times = append(s.times, s.nw.NodeNow(s.id))
+	s.times = append(s.times, s.nw.Now())
 }
 
 func TestDeliveryAndTiming(t *testing.T) {

@@ -12,11 +12,6 @@ import (
 // space so they map into the 10.0.0.0/8 addressing plan of internal/wire.
 type NodeID uint32
 
-// halfLinkKeyBase offsets half-link ordering origins above the 24-bit node
-// ID space, so frame-delivery keys can never collide with node or setup
-// scheduling origins.
-const halfLinkKeyBase uint64 = 1 << 32
-
 // Node is anything attached to the fabric. Attach is called exactly once,
 // when the node is added; HandleFrame is called by the event loop whenever a
 // frame arrives on one of the node's ports. The frame slice is owned by the
@@ -86,13 +81,6 @@ type halfLink struct {
 	// accepted keep their scheduled deliveries — they left the transmitter
 	// before the failure. Toggled only through SetLinkState.
 	down bool
-
-	// key is the half-link's ordering origin (halfLinkKeyBase | index) and
-	// txSeq its per-accepted-frame sequence. Together they key every frame
-	// delivery this half-link produces, so same-tick arrival order at the
-	// destination is deterministic.
-	key   uint64
-	txSeq uint64
 
 	// pool, when non-nil, is the shared buffer memory of the source node:
 	// admission charges it under the dynamic threshold instead of the
@@ -250,11 +238,9 @@ func (nw *Network) Connect(a, b NodeID, cfg LinkConfig) (aPort, bPort int) {
 	seed := func(salt uint64) int64 { return int64(hashing.Mix64(nw.seed ^ salt)) }
 	ab := &halfLink{cfg: cfg, srcNode: a, dstNode: b, dstPort: bPort,
 		dst:     nw.nodes[b],
-		key:     halfLinkKeyBase | uint64(len(nw.half)),
 		rngSeed: seed(uint64(a)<<32 | uint64(b)<<8 | uint64(aPort))}
 	ba := &halfLink{cfg: cfg, srcNode: b, dstNode: a, dstPort: aPort,
 		dst:     nw.nodes[a],
-		key:     halfLinkKeyBase | uint64(len(nw.half)+1),
 		rngSeed: seed(uint64(b)<<32 | uint64(a)<<8 | uint64(bPort) | 1<<63)}
 	// Ports born after SetNodePool join the node's pool, each carving its
 	// own reserve slot; an over-committed carve is a configuration error.
@@ -381,7 +367,6 @@ func (nw *Network) send(hl *halfLink, class int, frame []byte) {
 	}
 	hl.stats.TxFrames++
 	hl.stats.TxBytes += uint64(size)
-	hl.txSeq++
 	if nw.tracer != nil {
 		// Accepted attempts are traced after the charge, so the reported
 		// occupancy includes the frame itself — its position at the tail of
@@ -390,23 +375,10 @@ func (nw *Network) send(hl *halfLink, class int, frame []byte) {
 		nw.traceFrame(hl, class, size, now, FrameAccepted, frame)
 	}
 
-	// Deliver under the half-link's key. The delivery record goes into the
-	// engine's frame arena — no closure, no per-frame heap allocation.
-	eng.scheduleFrame(done+Duration(hl.cfg.Propagation), hl.key, hl.txSeq,
-		hl.dstNode, hl.dst, int32(hl.dstPort), frame)
+	// The delivery record goes into the engine's frame arena — no closure,
+	// no per-frame heap allocation.
+	eng.scheduleFrame(done+Duration(hl.cfg.Propagation), hl.dst, int32(hl.dstPort), frame)
 }
-
-// NodeAfter schedules fn d ticks from now as a timer owned by node id.
-// Node-resident timers (host timeouts, switch recirculation, telemetry
-// probes) use this rather than Eng.After so they are keyed by the node's
-// own schedule counter: their same-tick order then depends only on that
-// node's history, even when setup code armed them.
-func (nw *Network) NodeAfter(id NodeID, d Time, fn func()) {
-	nw.Eng.scheduleOwned(nw.Eng.now+d, id, fn)
-}
-
-// NodeNow returns the virtual time as seen by node id — the network clock.
-func (nw *Network) NodeNow(id NodeID) Time { return nw.Eng.Now() }
 
 // Now returns the network's virtual time. After Run drains the queue this
 // is the timestamp of the last executed event.

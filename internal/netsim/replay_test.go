@@ -41,7 +41,7 @@ func (c *chatter) HandleFrame(inPort int, frame []byte) {
 	for _, b := range frame {
 		sum = sum*131 + uint32(b)
 	}
-	c.log = append(c.log, fmt.Sprintf("%d:%d:%d:%x", c.nw.NodeNow(c.id), inPort, len(frame), sum))
+	c.log = append(c.log, fmt.Sprintf("%d:%d:%d:%x", c.nw.Now(), inPort, len(frame), sum))
 	if len(frame) == 0 || frame[0] == 0 {
 		return
 	}
@@ -61,7 +61,7 @@ func (c *chatter) HandleFrame(inPort int, frame []byte) {
 		if c.rng.Intn(4) == 0 {
 			// Delayed echo through the node's own timer path.
 			d := Time(1 + c.rng.Intn(3000))
-			c.nw.NodeAfter(c.id, d, func() { c.nw.Send(c.id, port, nf) })
+			c.nw.Eng.After(d, func() { c.nw.Send(c.id, port, nf) })
 		} else {
 			c.nw.Send(c.id, port, nf)
 		}
@@ -172,8 +172,8 @@ func TestChatterReplay(t *testing.T) {
 		"6347 bytes 0x66dfa97ce89d0550",
 		"12664 bytes 0x540ac76678679e41",
 		"12380 bytes 0x2b6efcd2ae9c29fb",
-		"13967 bytes 0xe9d0cceeaa00dc33",
-		"17552 bytes 0x02c5a2b6c7b65a83",
+		"13965 bytes 0x42b94cdfc1e1aab6",
+		"17552 bytes 0x258abe138ca7785b",
 		"18151 bytes 0xa4c622447620254d",
 	}
 	for trial := range want {
@@ -193,7 +193,7 @@ func TestChatterReplay(t *testing.T) {
 
 // TestTightRingReplay: a ring with chords whose links all have a 50 ns
 // propagation delay, so deliveries pile onto a handful of ticks and the
-// (at, src, seq) tie-break decides almost every step.
+// (at, seq) tie-break decides almost every step.
 func TestTightRingReplay(t *testing.T) {
 	nw := New(99)
 	nodes := make([]*chatter, 12)
@@ -217,7 +217,7 @@ func TestTightRingReplay(t *testing.T) {
 	if err := nw.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
-	checkDigest(t, "tight ring", fingerprint(nw, nodes), "10989 bytes 0x3206a154ef555470")
+	checkDigest(t, "tight ring", fingerprint(nw, nodes), "10992 bytes 0x09a7399aaab3143f")
 }
 
 // TestEventBudgetExact: maxEvents is honored exactly. A budget below the

@@ -15,10 +15,6 @@ import "fmt"
 //     retained or modified — ownership stays with the network (accepted
 //     frames) or dies with the drop. A tracer that needs bytes must copy
 //     them (the telemetry sampler only reads header fields inline).
-//   - The (Origin, Seq) pair is the half-link's attempt key: Origin is the
-//     half-link's ordering origin and Seq counts every admission attempt on
-//     it (accepted + all drop reasons), so trace records merge into the
-//     same (timestamp, origin, seq) total order the event engine uses.
 //   - A nil tracer costs one predictable branch per send; the steady-state
 //     hot path stays 0 allocs/op (TestSendTracerOffZeroAlloc pins it).
 
@@ -67,11 +63,6 @@ type FrameTraceInfo struct {
 	// or -1 when the node has no pool.
 	PoolUsedBytes int
 
-	// Origin/Seq key the attempt in the fabric's event order: Origin is the half-link's ordering origin, Seq its attempt
-	// counter (strictly increasing per half-link, first attempt = 1).
-	Origin uint64
-	Seq    uint64
-
 	Verdict FrameVerdict
 }
 
@@ -103,10 +94,7 @@ func (nw *Network) traceFrame(hl *halfLink, class, size int, now Time, verdict F
 		Size:          size,
 		QueuedBytes:   hl.queued,
 		PoolUsedBytes: pooled,
-		Origin:        hl.key,
-		Seq: hl.stats.TxFrames + hl.stats.DropsFull + hl.stats.DropsPool +
-			hl.stats.DropsLoss + hl.stats.DropsDown,
-		Verdict: verdict,
+		Verdict:       verdict,
 	}, frame)
 }
 

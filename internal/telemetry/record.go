@@ -4,9 +4,9 @@
 // time-resolved view the end-of-run snapshot counters (PoolStats,
 // LinkStats, TreeStats) cannot give.
 //
-// Everything here obeys the engine's determinism contract. Records are
-// keyed (At, Origin, Seq) exactly like simulator events: At is virtual
-// time, Origin names the deterministic stream that produced the record (a
+// Everything here obeys the engine's determinism contract. Records carry
+// telemetry's own stream key (At, Origin, Seq): At is virtual time,
+// Origin names the deterministic stream that produced the record (a
 // node's probe, a node's hop sampler, or origin 0 for control-plane
 // samples), and Seq is that stream's own counter, so the merged timeline
 // has one total order (the figure golden in internal/experiments pins each

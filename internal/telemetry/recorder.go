@@ -151,7 +151,7 @@ func (r *Recorder) Start() {
 		if p.prog != nil {
 			p.trees = p.prog.Trees()
 		}
-		r.nw.NodeAfter(p.id, r.cfg.Cadence, p.tick)
+		r.nw.Eng.After(r.cfg.Cadence, p.tick)
 	}
 }
 
@@ -162,7 +162,7 @@ func (p *probe) tick() {
 		return
 	}
 	p.sample()
-	p.rec.nw.NodeAfter(p.id, p.rec.cfg.Cadence, p.tick)
+	p.rec.nw.Eng.After(p.rec.cfg.Cadence, p.tick)
 }
 
 // sample reads the node's pool, ports and trees at the current virtual

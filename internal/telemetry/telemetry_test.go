@@ -121,7 +121,7 @@ type pulseSender struct {
 func (p *pulseSender) Attach(nw *netsim.Network, id netsim.NodeID) { p.nw, p.id = nw, id }
 func (p *pulseSender) HandleFrame(int, []byte)                     {}
 func (p *pulseSender) start() {
-	p.nw.NodeAfter(p.id, p.interval, p.tick)
+	p.nw.Eng.After(p.interval, p.tick)
 }
 func (p *pulseSender) tick() {
 	if p.count <= 0 {
@@ -130,7 +130,7 @@ func (p *pulseSender) tick() {
 	p.count--
 	p.nw.Send(p.id, 0, p.frame)
 	if p.count > 0 {
-		p.nw.NodeAfter(p.id, p.interval, p.tick)
+		p.nw.Eng.After(p.interval, p.tick)
 	}
 }
 

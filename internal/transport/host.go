@@ -98,14 +98,13 @@ func (h *Host) ephemeralPort() uint16 {
 }
 
 // After schedules fn on the fabric's clock, satisfying core.TimerCarrier
-// for the reliability extension. The timer is owned by this host (see
-// netsim.Network.NodeAfter).
+// for the reliability extension.
 func (h *Host) After(d time.Duration, fn func()) {
-	h.nw.NodeAfter(h.id, netsim.Duration(d), fn)
+	h.nw.Eng.After(netsim.Duration(d), fn)
 }
 
 // Now returns the current virtual time.
-func (h *Host) Now() netsim.Time { return h.nw.NodeNow(h.id) }
+func (h *Host) Now() netsim.Time { return h.nw.Now() }
 
 // txAccount records one egress frame in the NIC counters; every transmit
 // path (single-frame and burst) funnels through it.
