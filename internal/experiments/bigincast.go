@@ -211,7 +211,11 @@ func bigIncastPlan(cfg BigIncastConfig) (plan *topology.Plan, senders []netsim.N
 
 // BigIncast runs one fabric-scale incast round and verifies the aggregate
 // is exact. Deterministic in (Seed, config).
-func BigIncast(cfg BigIncastConfig) (*BigIncastResult, error) {
+func BigIncast(cfg BigIncastConfig) (*BigIncastResult, error) { return bigIncast(cfg, nil) }
+
+// bigIncast is BigIncast with an optional frame tracer on the fabric (see
+// incast).
+func bigIncast(cfg BigIncastConfig, tracer netsim.FrameTracer) (*BigIncastResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Senders < cfg.Racks {
 		return nil, fmt.Errorf("experiments: bigincast: %d senders across %d racks", cfg.Senders, cfg.Racks)
@@ -219,6 +223,7 @@ func BigIncast(cfg BigIncastConfig) (*BigIncastResult, error) {
 	plan, workers, reducer := bigIncastPlan(cfg)
 
 	nw := netsim.New(cfg.Seed)
+	nw.SetFrameTracer(tracer)
 	fb, err := buildDaietFabric(nw, plan)
 	if err != nil {
 		return nil, err

@@ -75,7 +75,8 @@ func TestBigIncastDTDominatesStatic(t *testing.T) {
 // pool marks, fairness, virtual completion.
 func renderBigIncast256x4(t *testing.T) string {
 	t.Helper()
-	res, err := BigIncast(BigIncastConfig{
+	fo := newFrameOrder()
+	res, err := bigIncast(BigIncastConfig{
 		Seed:           3,
 		Senders:        256,
 		Racks:          4,
@@ -83,7 +84,7 @@ func renderBigIncast256x4(t *testing.T) string {
 		Vocab:          2048,
 		TableSize:      512,
 		PoolBytes:      64 << 10, // small enough that the leaves drop and replay
-	})
+	}, fo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,5 +95,5 @@ func renderBigIncast256x4(t *testing.T) string {
 	// Arena occupancy describes how the engine stored the run, not what the
 	// fabric did; the reference records the workload counters only.
 	res.ArenaStats = netsim.ArenaStats{}
-	return fieldLines(*res)
+	return fieldLines(*res) + fo.line()
 }

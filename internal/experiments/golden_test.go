@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"flag"
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"io/fs"
 	"os"
 	"reflect"
@@ -13,6 +16,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/daiet/daiet/internal/netsim"
 )
 
 // testdata/figures.golden is the committed record of what the simulation
@@ -222,6 +227,35 @@ func fieldLines(v any) string {
 		fmt.Fprintf(&b, "%s: %+v\n", rv.Type().Field(i).Name, rv.Field(i))
 	}
 	return b.String()
+}
+
+// frameOrder is a netsim.FrameTracer that folds every admission attempt
+// — (at, src, dst, dst port, class, size, verdict) and an FNV-64a of the
+// frame bytes — into one running FNV-64a. The result counters of a
+// symmetric fan-in do not change when same-tick events run in another
+// order (senders started in map order, say); this digest does.
+type frameOrder struct {
+	h      hash.Hash64
+	frames int
+}
+
+func newFrameOrder() *frameOrder { return &frameOrder{h: fnv.New64a()} }
+
+func (f *frameOrder) TraceFrame(info netsim.FrameTraceInfo, frame []byte) {
+	fh := fnv.New64a()
+	fh.Write(frame)
+	var b [8 * 8]byte
+	for i, v := range [...]uint64{uint64(info.At), uint64(info.Src), uint64(info.Dst),
+		uint64(info.DstPort), uint64(info.Class), uint64(info.Size), uint64(info.Verdict), fh.Sum64()} {
+		binary.LittleEndian.PutUint64(b[8*i:], v)
+	}
+	f.h.Write(b[:])
+	f.frames++
+}
+
+// line renders the digest as the reference field line "FrameOrder: ...".
+func (f *frameOrder) line() string {
+	return fmt.Sprintf("FrameOrder: %d frames %#016x\n", f.frames, f.h.Sum64())
 }
 
 // checkGolden compares got with the golden section of that name and, on a

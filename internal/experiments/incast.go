@@ -142,7 +142,11 @@ type IncastResult struct {
 // Incast runs one synchronized fan-in round and verifies the aggregate is
 // exact. The result is fully deterministic in (Seed, config): completion
 // is virtual time, and drops come from queue admission, not randomness.
-func Incast(cfg IncastConfig) (*IncastResult, error) {
+func Incast(cfg IncastConfig) (*IncastResult, error) { return incast(cfg, nil) }
+
+// incast is Incast with an optional frame tracer on the fabric: the
+// golden references pin frame order through it.
+func incast(cfg IncastConfig, tracer netsim.FrameTracer) (*IncastResult, error) {
 	cfg = cfg.withDefaults()
 
 	// Hand-build the plan so the edge and root hops get different queues.
@@ -176,6 +180,7 @@ func Incast(cfg IncastConfig) (*IncastResult, error) {
 	workers, reducer := plan.Hosts[:cfg.Senders], plan.Hosts[cfg.Senders]
 
 	nw := netsim.New(cfg.Seed)
+	nw.SetFrameTracer(tracer)
 	fb, err := buildDaietFabric(nw, plan)
 	if err != nil {
 		return nil, err

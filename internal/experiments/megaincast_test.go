@@ -12,10 +12,11 @@ import (
 // peak_arena_kb).
 func renderMegaIncast(t *testing.T) string {
 	t.Helper()
-	res, err := BigIncast(megaIncastConfig(11, 0.08))
+	fo := newFrameOrder()
+	res, err := bigIncast(megaIncastConfig(11, 0.08), fo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.ArenaStats = netsim.ArenaStats{}
-	return fieldLines(*res)
+	return fieldLines(*res) + fo.line()
 }

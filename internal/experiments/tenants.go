@@ -140,7 +140,11 @@ type TenantsResult struct {
 
 // Tenants runs one two-tenant round and verifies both tenants' aggregates
 // are exact despite any loss (both trees run the reliable gate).
-func Tenants(cfg TenantsConfig) (*TenantsResult, error) {
+func Tenants(cfg TenantsConfig) (*TenantsResult, error) { return tenants(cfg, nil) }
+
+// tenants is Tenants with an optional frame tracer on the fabric (see
+// incast).
+func tenants(cfg TenantsConfig, tracer netsim.FrameTracer) (*TenantsResult, error) {
 	cfg = cfg.withDefaults()
 
 	sw := topology.SwitchBase
@@ -178,6 +182,7 @@ func Tenants(cfg TenantsConfig) (*TenantsResult, error) {
 	})
 
 	nw := netsim.New(cfg.Seed)
+	nw.SetFrameTracer(tracer)
 	fb, err := buildDaietFabric(nw, plan)
 	if err != nil {
 		return nil, err

@@ -79,13 +79,14 @@ func TestJainIndex(t *testing.T) {
 // per-tenant drops, per-class pool attribution, completions.
 func renderTenants(t *testing.T) string {
 	t.Helper()
-	res, err := Tenants(TenantsConfig{
+	fo := newFrameOrder()
+	res, err := tenants(TenantsConfig{
 		Seed: 9, VictimSenders: 3, VictimPairs: 120,
 		AggSenders: 8, AggPairs: 300,
 		VictimReserve: 1 << 10, AggAlpha: 32,
-	})
+	}, fo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fieldLines(*res)
+	return fieldLines(*res) + fo.line()
 }
