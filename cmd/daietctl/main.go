@@ -23,7 +23,6 @@ import (
 	"github.com/daiet/daiet/internal/core"
 	"github.com/daiet/daiet/internal/netsim"
 	"github.com/daiet/daiet/internal/topology"
-	"github.com/daiet/daiet/internal/transport"
 	"github.com/daiet/daiet/internal/wire"
 )
 
@@ -63,25 +62,16 @@ func main() {
 		log.Fatalf("unknown topology %q", *topo)
 	}
 
-	nw := netsim.New(0)
-	programs := map[netsim.NodeID]*core.Program{}
-	mkSwitch := func(id netsim.NodeID) netsim.Node {
-		p, err := core.NewProgram(core.ProgramConfig{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		programs[id] = p
-		return p.Switch()
+	d, err := controller.Deploy(netsim.New(0), plan, core.ProgramConfig{})
+	if err != nil {
+		log.Fatal(err)
 	}
-	mkHost := func(netsim.NodeID) netsim.Node { return transport.NewHost() }
-	fab := plan.Realize(nw, mkSwitch, mkHost)
-	ctl := controller.New(fab, programs)
 
 	idx, err := parseIndices(*mappersFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
-	hosts := fab.HostsSorted()
+	hosts := d.Fab.HostsSorted()
 	var mappers []netsim.NodeID
 	for _, i := range idx {
 		if i < 0 || i >= len(hosts) {
@@ -94,7 +84,7 @@ func main() {
 	}
 	reducer := hosts[*reducerFlag]
 
-	tp, err := ctl.PlanTree(reducer, mappers)
+	tp, err := d.Ctl.PlanTree(reducer, mappers)
 	if err != nil {
 		log.Fatal(err)
 	}

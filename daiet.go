@@ -164,41 +164,24 @@ func firstConfig(opts []Config) Config {
 }
 
 func build(plan *topology.Plan, cfg Config) (*Network, error) {
-	n := &Network{
-		cfg:      cfg,
-		Sim:      netsim.New(cfg.Seed),
-		Programs: make(map[NodeID]*Program),
-		hosts:    make(map[NodeID]*Host),
-		plans:    make(map[uint32]*TreePlan),
-	}
-	var buildErr error
-	mkSwitch := func(id NodeID) netsim.Node {
-		prog, err := core.NewProgram(core.ProgramConfig{
-			Geometry:          cfg.Geometry,
-			MaxPairsPerPacket: cfg.MaxPairsPerPacket,
-			SRAMBudget:        cfg.SRAMBudget,
-		})
-		if err != nil {
-			buildErr = err
-			prog, _ = core.NewProgram(core.ProgramConfig{})
-		}
-		n.Programs[id] = prog
-		return prog.Switch()
-	}
-	mkHost := func(id NodeID) netsim.Node {
-		h := transport.NewHost()
-		n.hosts[id] = h
-		return h
-	}
-	n.Fabric = plan.Realize(n.Sim, mkSwitch, mkHost)
-	if buildErr != nil {
-		return nil, buildErr
-	}
-	n.Controller = controller.New(n.Fabric, n.Programs)
-	if err := n.Controller.InstallRouting(); err != nil {
+	sim := netsim.New(cfg.Seed)
+	d, err := controller.Deploy(sim, plan, core.ProgramConfig{
+		Geometry:          cfg.Geometry,
+		MaxPairsPerPacket: cfg.MaxPairsPerPacket,
+		SRAMBudget:        cfg.SRAMBudget,
+	})
+	if err != nil {
 		return nil, err
 	}
-	return n, nil
+	return &Network{
+		cfg:        cfg,
+		Sim:        sim,
+		Fabric:     d.Fab,
+		Controller: d.Ctl,
+		Programs:   d.Programs,
+		hosts:      d.Hosts,
+		plans:      make(map[uint32]*TreePlan),
+	}, nil
 }
 
 // Hosts returns the fabric's host IDs in ascending order.
@@ -211,6 +194,10 @@ func (n *Network) Host(id NodeID) *Host { return n.hosts[id] }
 // covering the given mappers, returning the plan. The tree ID equals the
 // reducer's node ID.
 func (n *Network) InstallTree(reducer NodeID, mappers []NodeID, opt TreeOptions) (*TreePlan, error) {
+	return n.installTree(reducer, mappers, opt, false)
+}
+
+func (n *Network) installTree(reducer NodeID, mappers []NodeID, opt TreeOptions, reliable bool) (*TreePlan, error) {
 	if opt.Agg == 0 {
 		opt.Agg = AggSum
 	}
@@ -225,6 +212,7 @@ func (n *Network) InstallTree(reducer NodeID, mappers []NodeID, opt TreeOptions)
 		Agg:       opt.Agg,
 		TableSize: opt.TableSize,
 		SpillCap:  opt.SpillCap,
+		Reliable:  reliable,
 	}); err != nil {
 		return nil, err
 	}

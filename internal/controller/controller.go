@@ -8,12 +8,14 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"github.com/daiet/daiet/internal/core"
 	"github.com/daiet/daiet/internal/netsim"
 	"github.com/daiet/daiet/internal/topology"
+	"github.com/daiet/daiet/internal/transport"
 )
 
 // Controller owns the mapping from switch node IDs to their programs.
@@ -28,11 +30,58 @@ func New(fab *topology.Fabric, programs map[netsim.NodeID]*core.Program) *Contro
 	return &Controller{fab: fab, programs: programs}
 }
 
+// Deployment is a realized DAIET fabric: the fabric, one program per
+// switch, one transport host per host node, and the controller that
+// routed it.
+type Deployment struct {
+	Fab      *topology.Fabric
+	Programs map[netsim.NodeID]*core.Program
+	Hosts    map[netsim.NodeID]*transport.Host
+	Ctl      *Controller
+}
+
+// Deploy is the control plane's set-up, the one way a fabric is built: it
+// builds every switch's program from cfg (in plan.Switches order, so an
+// infeasible cfg fails before nw gains a node), realizes plan onto nw
+// with those programs and one transport.Host per host, and installs
+// baseline routing on every switch.
+func Deploy(nw *netsim.Network, plan *topology.Plan, cfg core.ProgramConfig) (*Deployment, error) {
+	d := &Deployment{
+		Programs: make(map[netsim.NodeID]*core.Program, len(plan.Switches)),
+		Hosts:    make(map[netsim.NodeID]*transport.Host, len(plan.Hosts)),
+	}
+	for _, sw := range plan.Switches {
+		prog, err := core.NewProgram(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("controller: program for switch %d: %w", sw, err)
+		}
+		d.Programs[sw] = prog
+	}
+	d.Fab = plan.Realize(nw,
+		func(id netsim.NodeID) netsim.Node { return d.Programs[id].Switch() },
+		func(id netsim.NodeID) netsim.Node {
+			h := transport.NewHost()
+			d.Hosts[id] = h
+			return h
+		})
+	d.Ctl = New(d.Fab, d.Programs)
+	if err := d.Ctl.InstallRouting(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // InstallRouting installs plain IPv4 forwarding entries on every switch for
-// every host, so baseline (non-aggregated) traffic flows.
+// every host, so baseline (non-aggregated) traffic flows. Switches go in
+// ID order, so the first failure named is the same on every run.
 func (c *Controller) InstallRouting() error {
-	for swID := range c.programs {
-		if err := c.InstallRoutingOn(swID); err != nil {
+	ids := make([]netsim.NodeID, 0, len(c.programs))
+	for id := range c.programs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if err := c.InstallRoutingOn(id); err != nil {
 			return err
 		}
 	}

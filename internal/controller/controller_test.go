@@ -1,6 +1,8 @@
 package controller
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/daiet/daiet/internal/core"
@@ -191,5 +193,37 @@ func TestProgramAccessor(t *testing.T) {
 	}
 	if ctl.Program(netsim.NodeID(12345)) != nil {
 		t.Fatal("unknown switch must be nil")
+	}
+}
+
+// TestDeployErrorBeforeSideEffects: an infeasible program config (more
+// pairs per packet than the parse budget holds) comes back as Deploy's
+// error before the network gains a single node.
+func TestDeployErrorBeforeSideEffects(t *testing.T) {
+	plan := topology.LeafSpine(2, 2, 2, netsim.LinkConfig{})
+	nw := netsim.New(1)
+	_, err := Deploy(nw, plan, core.ProgramConfig{MaxPairsPerPacket: 1000})
+	if err == nil || !strings.Contains(err.Error(), "parse bytes") {
+		t.Fatalf("Deploy error %v, want the program's parse-budget error", err)
+	}
+	for _, id := range append(append([]netsim.NodeID(nil), plan.Switches...), plan.Hosts...) {
+		if nw.Node(id) != nil {
+			t.Fatalf("node %d added before the error", id)
+		}
+	}
+}
+
+// TestInstallRoutingErrorDeterministic: with a host no switch can reach,
+// every switch fails to route it; the error names the lowest switch ID on
+// every run, not whichever switch map iteration visited first.
+func TestInstallRoutingErrorDeterministic(t *testing.T) {
+	plan := topology.LeafSpine(2, 2, 2, netsim.LinkConfig{})
+	plan.Hosts = append(plan.Hosts, topology.HostBase+netsim.NodeID(len(plan.Hosts))) // no link
+	want := fmt.Sprintf("controller: switch %d cannot reach host %d", plan.Switches[0], plan.Hosts[len(plan.Hosts)-1])
+	for run := 0; run < 20; run++ {
+		_, err := Deploy(netsim.New(1), plan, core.ProgramConfig{})
+		if err == nil || err.Error() != want {
+			t.Fatalf("run %d: error %v, want %q", run, err, want)
+		}
 	}
 }

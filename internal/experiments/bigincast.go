@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/daiet/daiet/internal/controller"
 	"github.com/daiet/daiet/internal/core"
@@ -11,7 +10,6 @@ import (
 	"github.com/daiet/daiet/internal/stats"
 	"github.com/daiet/daiet/internal/telemetry"
 	"github.com/daiet/daiet/internal/topology"
-	"github.com/daiet/daiet/internal/wire"
 )
 
 // BigIncast is incast at fabric scale: hundreds of senders across several
@@ -224,72 +222,28 @@ func bigIncast(cfg BigIncastConfig, tracer netsim.FrameTracer) (*BigIncastResult
 
 	nw := netsim.New(cfg.Seed)
 	nw.SetFrameTracer(tracer)
-	fb, err := buildDaietFabric(nw, plan)
+	d, err := controller.Deploy(nw, plan, core.ProgramConfig{})
 	if err != nil {
 		return nil, err
 	}
-	ctl := controller.New(fb.fab, fb.programs)
-	if err := ctl.InstallRouting(); err != nil {
-		return nil, err
-	}
-	tplan, err := ctl.PlanTree(reducer, workers)
-	if err != nil {
-		return nil, err
-	}
-
 	// Hop-by-hop reliable tree: every switch gates its own tree children
 	// (rack hosts at the leaves, child switches upstream) and retains its
 	// emissions in a replay buffer until its parent acknowledges them.
-	if err := ctl.InstallTree(tplan, controller.TreeOptions{
-		Agg:        core.AggSum,
+	// Synchronized fan-in: every worker queues its whole stream at t=0.
+	round, err := fanIn(d, reducer, workers, controller.TreeOptions{
 		TableSize:  cfg.TableSize,
-		Reliable:   true,
 		RootReplay: cfg.Replay,
-		RootRTO:    500 * time.Microsecond,
 		HopReplay:  true,
-	}); err != nil {
-		return nil, err
-	}
-
-	sum, err := core.FuncByID(core.AggSum)
+	}, 32, cfg.Seed, cfg.PairsPerSender, cfg.Vocab, feedAll)
 	if err != nil {
 		return nil, err
-	}
-	col := core.NewCollector(uint32(reducer), sum, wire.DefaultGeometry, tplan.RootChildren())
-	col.Attach(fb.hosts[reducer])
-	col.EnableRootAck()
-
-	// Synchronized fan-in: every worker queues its whole stream at t=0.
-	rcfg := core.ReliableConfig{
-		Window:     32,
-		RTO:        500 * time.Microsecond,
-		MaxRetries: 10_000, // completion, not give-up, is under study
-	}
-	want := map[string]uint32{}
-	senders := make([]*core.ReliableSender, len(workers))
-	for i, w := range workers {
-		mux := core.NewAckMux(fb.hosts[w])
-		s, err := core.NewReliableSender(fb.hosts[w], tplan.TreeID, reducer,
-			wire.DefaultGeometry, 10, rcfg)
-		if err != nil {
-			return nil, err
-		}
-		mux.Register(s)
-		senders[i] = s
-		stream, _ := senderWorkload(cfg.Seed, w, cfg.PairsPerSender, cfg.Vocab, want)
-		for _, kv := range stream {
-			if err := s.Send([]byte(kv.Key), kv.Value); err != nil {
-				return nil, err
-			}
-		}
-		s.End()
 	}
 
 	var rec *telemetry.Recorder
 	if cfg.Telemetry != nil {
 		rec = telemetry.NewRecorder(nw, *cfg.Telemetry)
 		for _, swNode := range plan.Switches {
-			if err := rec.WatchSwitch(swNode, fb.programs[swNode]); err != nil {
+			if err := rec.WatchSwitch(swNode, d.Programs[swNode]); err != nil {
 				return nil, fmt.Errorf("experiments: bigincast: %w", err)
 			}
 		}
@@ -302,18 +256,17 @@ func bigIncast(cfg BigIncastConfig, tracer netsim.FrameTracer) (*BigIncastResult
 		return nil, fmt.Errorf("experiments: bigincast: %w", err)
 	}
 
-	res := &BigIncastResult{Cfg: cfg, Completion: nw.Now()}
+	sent, err := round.check()
+	if err != nil {
+		return nil, fmt.Errorf("experiments: bigincast: %w", err)
+	}
+	res := &BigIncastResult{Cfg: cfg, Completion: nw.Now(),
+		Transmissions: sent.Transmissions, Retransmissions: sent.Retransmissions, PairsSent: sent.PairsSent}
 	if rec != nil {
 		res.Timeline = rec.Timeline()
 	}
-	perSender := make([]float64, len(senders))
-	for i, s := range senders {
-		if !s.Done() {
-			return nil, fmt.Errorf("experiments: bigincast: sender %d incomplete: %v", i, s.Err())
-		}
-		res.Transmissions += s.Stats.Transmissions
-		res.Retransmissions += s.Stats.Retransmissions
-		res.PairsSent += s.Stats.PairsSent
+	perSender := make([]float64, len(round.senders))
+	for i, s := range round.senders {
 		// Cost per pair, so ±20% stream lengths don't read as unfairness.
 		pairs := s.Stats.PairsSent
 		if pairs == 0 {
@@ -322,15 +275,9 @@ func bigIncast(cfg BigIncastConfig, tracer netsim.FrameTracer) (*BigIncastResult
 		perSender[i] = float64(s.Stats.Transmissions) / float64(pairs)
 	}
 	res.PortFairness = jainIndex(perSender)
-	if !col.Complete() {
-		return nil, fmt.Errorf("experiments: bigincast: collector incomplete (%+v)", col.Stats)
-	}
-	if err := verifyExactOnce(col, want); err != nil {
-		return nil, fmt.Errorf("experiments: bigincast: %w", err)
-	}
 
-	for _, swNode := range tplan.SwitchNodes {
-		if st, ok := fb.programs[swNode].TreeStats(tplan.TreeID); ok {
+	for _, swNode := range round.tree.SwitchNodes {
+		if st, ok := d.Programs[swNode].TreeStats(round.tree.TreeID); ok {
 			res.SwitchRetransmissions += st.RootRetransmissions
 			res.FlushStalls += st.FlushStalls
 		}

@@ -3,53 +3,120 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
+	"github.com/daiet/daiet/internal/controller"
 	"github.com/daiet/daiet/internal/core"
 	"github.com/daiet/daiet/internal/hashing"
 	"github.com/daiet/daiet/internal/netsim"
-	"github.com/daiet/daiet/internal/topology"
-	"github.com/daiet/daiet/internal/transport"
+	"github.com/daiet/daiet/internal/wire"
 )
 
-// Shared plumbing of the fan-in experiments (incast, bigincast): realize a
-// plan with DAIET programs on switches and plain hosts, draw deterministic
-// per-sender workloads, and verify exactly-once aggregation.
+// Shared plumbing of the fan-in experiments (incast, bigincast, tenants):
+// one reliable fan-in round over a deployed fabric, deterministic
+// per-sender workloads, and the exactly-once check.
 
-// daietFabric bundles a realized plan's components.
-type daietFabric struct {
-	fab      *topology.Fabric
-	programs map[netsim.NodeID]*core.Program
-	hosts    map[netsim.NodeID]*transport.Host
+// fanInRound is one reliable fan-in round: the aggregation tree, the
+// reducer's root-ACKing collector, one go-back-N sender per worker, and
+// the aggregate the collector must reach.
+type fanInRound struct {
+	tree     *controller.TreePlan
+	col      *core.Collector
+	senders  []*core.ReliableSender
+	feedErrs []error // one slot per sender, checked once the run drained
+	want     map[string]uint32
 }
 
-// buildDaietFabric realizes plan onto nw with a default DAIET program per
-// switch and a transport host per host node (pools declared on the plan are
-// installed by Realize).
-func buildDaietFabric(nw *netsim.Network, plan *topology.Plan) (*daietFabric, error) {
-	f := &daietFabric{
-		programs: map[netsim.NodeID]*core.Program{},
-		hosts:    map[netsim.NodeID]*transport.Host{},
+// fanIn sets up one round: it plans and installs the reliable sum tree
+// from workers to reducer under opt, attaches the collector, and gives
+// each worker an AckMux-registered ReliableSender with window-sized
+// go-back-N and its senderWorkload stream. start feeds the worker — at
+// once, jittered or paced — right after its sender exists, in worker
+// order. Hosts and switches both retransmit after 500 µs and senders
+// never give up: completion, not give-up, is under study.
+func fanIn(d *controller.Deployment, reducer netsim.NodeID, workers []netsim.NodeID,
+	opt controller.TreeOptions, window int, seed uint64, pairs, vocab int,
+	start func(r *fanInRound, i int, stream []core.KV, rng *rand.Rand)) (*fanInRound, error) {
+
+	tree, err := d.Ctl.PlanTree(reducer, workers)
+	if err != nil {
+		return nil, err
 	}
-	var buildErr error
-	f.fab = plan.Realize(nw,
-		func(id netsim.NodeID) netsim.Node {
-			prog, err := core.NewProgram(core.ProgramConfig{})
-			if err != nil {
-				buildErr = err
-				return transport.NewHost() // placeholder; buildErr aborts below
-			}
-			f.programs[id] = prog
-			return prog.Switch()
-		},
-		func(id netsim.NodeID) netsim.Node {
-			h := transport.NewHost()
-			f.hosts[id] = h
-			return h
-		})
-	if buildErr != nil {
-		return nil, buildErr
+	opt.Agg, opt.Reliable, opt.RootRTO = core.AggSum, true, 500*time.Microsecond
+	if err := d.Ctl.InstallTree(tree, opt); err != nil {
+		return nil, err
 	}
-	return f, nil
+	sum, err := core.FuncByID(core.AggSum)
+	if err != nil {
+		return nil, err
+	}
+	r := &fanInRound{tree: tree, feedErrs: make([]error, len(workers)), want: map[string]uint32{}}
+	r.col = core.NewCollector(uint32(reducer), sum, wire.DefaultGeometry, tree.RootChildren())
+	r.col.Attach(d.Hosts[reducer])
+	r.col.EnableRootAck()
+	rcfg := core.ReliableConfig{Window: window, RTO: 500 * time.Microsecond, MaxRetries: 10_000}
+	for i, w := range workers {
+		mux := core.NewAckMux(d.Hosts[w])
+		s, err := core.NewReliableSender(d.Hosts[w], tree.TreeID, reducer, wire.DefaultGeometry, 10, rcfg)
+		if err != nil {
+			return nil, err
+		}
+		mux.Register(s)
+		r.senders = append(r.senders, s)
+		stream, rng := senderWorkload(seed, w, pairs, vocab, r.want)
+		start(r, i, stream, rng)
+	}
+	return r, nil
+}
+
+// feed sends part of worker i's stream and ENDs the stream after the last
+// part.
+func (r *fanInRound) feed(i int, part []core.KV, last bool) {
+	s := r.senders[i]
+	for _, kv := range part {
+		if err := s.Send([]byte(kv.Key), kv.Value); err != nil {
+			r.feedErrs[i] = err
+			return
+		}
+	}
+	if last {
+		s.End()
+	}
+}
+
+// feedAll is the synchronized start: the whole stream queues at once.
+func feedAll(r *fanInRound, i int, stream []core.KV, _ *rand.Rand) { r.feed(i, stream, true) }
+
+// check is the round's gate once the run has drained: every feed
+// succeeded, every sender finished, the collector completed, and its
+// aggregate is exact — a duplicate or lost pair anywhere in the tree
+// shows up as a wrong sum. It returns the senders' summed statistics.
+func (r *fanInRound) check() (core.ReliableStats, error) {
+	var st core.ReliableStats
+	for i, s := range r.senders {
+		if err := r.feedErrs[i]; err != nil {
+			return st, fmt.Errorf("sender %d feed: %w", i, err)
+		}
+		if !s.Done() {
+			return st, fmt.Errorf("sender %d incomplete: %v", i, s.Err())
+		}
+		st.Transmissions += s.Stats.Transmissions
+		st.Retransmissions += s.Stats.Retransmissions
+		st.PairsSent += s.Stats.PairsSent
+	}
+	if !r.col.Complete() {
+		return st, fmt.Errorf("collector incomplete (%+v)", r.col.Stats)
+	}
+	got := r.col.Result()
+	if len(got) != len(r.want) {
+		return st, fmt.Errorf("%d keys, want %d", len(got), len(r.want))
+	}
+	for k, v := range r.want {
+		if got[k] != v {
+			return st, fmt.Errorf("key %q = %d, want %d (duplicate or lost aggregation)", k, got[k], v)
+		}
+	}
+	return st, nil
 }
 
 // senderWorkload draws worker w's deterministic stream: its actual length
@@ -70,23 +137,6 @@ func senderWorkload(seed uint64, w netsim.NodeID, pairsMean, vocab int,
 		stream[k] = core.KV{Key: key, Value: val}
 	}
 	return stream, rng
-}
-
-// verifyExactOnce is the correctness gate of every loss experiment: the
-// collector's aggregate must equal the ground truth exactly — a duplicate
-// or lost pair anywhere in the tree shows up as a wrong sum.
-func verifyExactOnce(col *core.Collector, want map[string]uint32) error {
-	got := col.Result()
-	if len(got) != len(want) {
-		return fmt.Errorf("%d keys, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			return fmt.Errorf("key %q = %d, want %d (duplicate or lost aggregation)",
-				k, got[k], v)
-		}
-	}
-	return nil
 }
 
 // jainIndex is Jain's fairness index over xs: (Σx)² / (n·Σx²) — 1.0 when

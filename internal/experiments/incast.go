@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"github.com/daiet/daiet/internal/netsim"
 	"github.com/daiet/daiet/internal/stats"
 	"github.com/daiet/daiet/internal/topology"
-	"github.com/daiet/daiet/internal/wire"
 )
 
 // Incast is the first scenario beyond the paper's evaluation: synchronized
@@ -181,83 +181,31 @@ func incast(cfg IncastConfig, tracer netsim.FrameTracer) (*IncastResult, error) 
 
 	nw := netsim.New(cfg.Seed)
 	nw.SetFrameTracer(tracer)
-	fb, err := buildDaietFabric(nw, plan)
-	if err != nil {
-		return nil, err
-	}
-	programs, hosts, fab := fb.programs, fb.hosts, fb.fab
-	ctl := controller.New(fab, programs)
-	if err := ctl.InstallRouting(); err != nil {
-		return nil, err
-	}
-	tplan, err := ctl.PlanTree(reducer, workers)
+	d, err := controller.Deploy(nw, plan, core.ProgramConfig{})
 	if err != nil {
 		return nil, err
 	}
 	// The single switch is the tree root: it gates the workers for
 	// exactly-once aggregation, and its flush hop to the reducer is
 	// protected by the bounded replay buffer instead of by testbed-sized
-	// queues.
-	if err := ctl.InstallTree(tplan, controller.TreeOptions{
-		Agg:        core.AggSum,
-		TableSize:  cfg.TableSize,
-		Reliable:   true,
-		RootReplay: cfg.RootReplay,
-		RootRTO:    500 * time.Microsecond,
-	}); err != nil {
-		return nil, err
-	}
-
-	sum, err := core.FuncByID(core.AggSum)
-	if err != nil {
-		return nil, err
-	}
-	col := core.NewCollector(uint32(reducer), sum, wire.DefaultGeometry, tplan.RootChildren())
-	col.Attach(hosts[reducer])
-	col.EnableRootAck()
-
-	// Synchronized fan-in: every worker queues its whole stream at t=0.
-	// Go-back-N keeps at most Window packets in flight per sender; under
-	// small buffers even that burst overflows the edge queue.
-	rcfg := core.ReliableConfig{
-		Window:     32,
-		RTO:        500 * time.Microsecond,
-		MaxRetries: 10_000, // completion, not give-up, is under study
-	}
-	want := map[string]uint32{}
-	senders := make([]*core.ReliableSender, len(workers))
-	// One error slot per sender, checked once the run has drained, so a
-	// failed feed is reported with its sender's index.
-	feedErrs := make([]error, len(workers))
-	for i, w := range workers {
-		mux := core.NewAckMux(hosts[w])
-		s, err := core.NewReliableSender(hosts[w], tplan.TreeID, reducer,
-			wire.DefaultGeometry, 10, rcfg)
-		if err != nil {
-			return nil, err
-		}
-		mux.Register(s)
-		senders[i] = s
-		stream, rng := senderWorkload(cfg.Seed, w, cfg.PairsPerSender, cfg.Vocab, want)
-		slot := &feedErrs[i]
-		feed := func() {
-			for _, kv := range stream {
-				if err := s.Send([]byte(kv.Key), kv.Value); err != nil {
-					*slot = err
-					return
-				}
-			}
-			s.End()
-		}
-		if cfg.StartJitter <= 0 {
-			feed() // synchronized fan-in: the whole stream queues at t=0
-			continue
-		}
+	// queues. Go-back-N keeps at most 32 packets in flight per sender;
+	// under small buffers even that burst overflows the edge queue.
+	start := feedAll // synchronized fan-in: the whole stream queues at t=0
+	if cfg.StartJitter > 0 {
 		// Staggered start: each sender begins at its own deterministic
 		// offset, drawn from its seed stream after the pairs so jitter
 		// never perturbs the workload itself.
-		delay := netsim.Time(rng.Int63n(int64(netsim.Duration(cfg.StartJitter)) + 1))
-		nw.Eng.After(delay, feed)
+		start = func(r *fanInRound, i int, stream []core.KV, rng *rand.Rand) {
+			delay := netsim.Time(rng.Int63n(int64(netsim.Duration(cfg.StartJitter)) + 1))
+			nw.Eng.After(delay, func() { r.feed(i, stream, true) })
+		}
+	}
+	round, err := fanIn(d, reducer, workers, controller.TreeOptions{
+		TableSize:  cfg.TableSize,
+		RootReplay: cfg.RootReplay,
+	}, 32, cfg.Seed, cfg.PairsPerSender, cfg.Vocab, start)
+	if err != nil {
+		return nil, err
 	}
 
 	// Bound the run: retransmission storms terminate (cumulative ACKs make
@@ -266,28 +214,12 @@ func incast(cfg IncastConfig, tracer netsim.FrameTracer) (*IncastResult, error) 
 	if err := nw.Run(200_000_000); err != nil {
 		return nil, fmt.Errorf("experiments: incast: %w", err)
 	}
-	for i, err := range feedErrs {
-		if err != nil {
-			return nil, fmt.Errorf("experiments: incast: sender %d feed: %w", i, err)
-		}
-	}
-
-	res := &IncastResult{Cfg: cfg, Completion: nw.Now()}
-	for i, s := range senders {
-		if !s.Done() {
-			return nil, fmt.Errorf("experiments: incast: sender %d incomplete: %v", i, s.Err())
-		}
-		res.Transmissions += s.Stats.Transmissions
-		res.Retransmissions += s.Stats.Retransmissions
-		res.PairsSent += s.Stats.PairsSent
-	}
-	if !col.Complete() {
-		return nil, fmt.Errorf("experiments: incast: collector incomplete (%+v)", col.Stats)
-	}
-	// Correctness gate: exactly-once aggregation despite retransmission.
-	if err := verifyExactOnce(col, want); err != nil {
+	sent, err := round.check()
+	if err != nil {
 		return nil, fmt.Errorf("experiments: incast: %w", err)
 	}
+	res := &IncastResult{Cfg: cfg, Completion: nw.Now(),
+		Transmissions: sent.Transmissions, Retransmissions: sent.Retransmissions, PairsSent: sent.PairsSent}
 	// Edge admission stats, worker→switch direction only (port 0 is every
 	// host's uplink).
 	for _, w := range workers {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"time"
 
@@ -11,7 +12,6 @@ import (
 	"github.com/daiet/daiet/internal/stats"
 	"github.com/daiet/daiet/internal/telemetry"
 	"github.com/daiet/daiet/internal/topology"
-	"github.com/daiet/daiet/internal/wire"
 )
 
 // Tenants is the multi-tenant slicing experiment behind the hard-carve
@@ -183,123 +183,52 @@ func tenants(cfg TenantsConfig, tracer netsim.FrameTracer) (*TenantsResult, erro
 
 	nw := netsim.New(cfg.Seed)
 	nw.SetFrameTracer(tracer)
-	fb, err := buildDaietFabric(nw, plan)
+	d, err := controller.Deploy(nw, plan, core.ProgramConfig{})
 	if err != nil {
 		return nil, err
 	}
-	ctl := controller.New(fb.fab, fb.programs)
-	if err := ctl.InstallRouting(); err != nil {
-		return nil, err
-	}
-	sum, err := core.FuncByID(core.AggSum)
-	if err != nil {
-		return nil, err
-	}
-
 	res := &TenantsResult{Cfg: cfg}
 
-	// installTenant wires one tenant: reliable tree under its classes, a
-	// root-ACKing collector stamping the tenant's completion, and reliable
-	// senders over the given workloads.
-	type tenant struct {
-		senders []*core.ReliableSender
-		col     *core.Collector
-		want    map[string]uint32
-		feedErr []error
+	// The victim's round, tenant 0: paced fixed-size chunks on each
+	// sender's own clock, so the tenant's in-flight bytes stay bounded by
+	// design.
+	const pace, chunk = 100 * time.Microsecond, 20
+	paced := func(r *fanInRound, i int, stream []core.KV, _ *rand.Rand) {
+		for c := 0; c*chunk < len(stream); c++ {
+			part := stream[c*chunk:]
+			if len(part) > chunk {
+				part = part[:chunk]
+			}
+			last := (c+1)*chunk >= len(stream)
+			nw.Eng.After(netsim.Time(c)*netsim.Duration(pace), func() { r.feed(i, part, last) })
+		}
 	}
-	installTenant := func(idx int, workers []netsim.NodeID, reducer netsim.NodeID,
-		pairs, vocab int, rcfg core.ReliableConfig, rootReplay int,
-		completion *netsim.Time, pace time.Duration, chunk int) (*tenant, error) {
-
-		tplan, err := ctl.PlanTree(reducer, workers)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctl.InstallTree(tplan, controller.TreeOptions{
-			Agg:        core.AggSum,
-			TableSize:  4096,
-			Reliable:   true,
-			RootReplay: rootReplay,
-			RootRTO:    500 * time.Microsecond,
-			DataClass:  idx,
-			AckClass:   idx,
-			Tenant:     idx,
-		}); err != nil {
-			return nil, err
-		}
-		tn := &tenant{want: map[string]uint32{}, feedErr: make([]error, len(workers))}
-		tn.col = core.NewCollector(uint32(reducer), sum, wire.DefaultGeometry, tplan.RootChildren())
-		tn.col.Attach(fb.hosts[reducer])
-		tn.col.EnableRootAck()
-		tn.col.OnComplete = func() { *completion = nw.Now() }
-		for i, w := range workers {
-			mux := core.NewAckMux(fb.hosts[w])
-			s, err := core.NewReliableSender(fb.hosts[w], tplan.TreeID, reducer,
-				wire.DefaultGeometry, 10, rcfg)
-			if err != nil {
-				return nil, err
-			}
-			mux.Register(s)
-			tn.senders = append(tn.senders, s)
-			stream, _ := senderWorkload(cfg.Seed, w, pairs, vocab, tn.want)
-			slot := &tn.feedErr[i]
-			if pace <= 0 {
-				// Synchronized: the whole stream queues at t=0.
-				for _, kv := range stream {
-					if err := s.Send([]byte(kv.Key), kv.Value); err != nil {
-						return nil, err
-					}
-				}
-				s.End()
-				continue
-			}
-			// Paced: fixed-size chunks on the sender's own clock, so the
-			// tenant's in-flight bytes stay bounded by design.
-			for c := 0; c*chunk < len(stream); c++ {
-				part := stream[c*chunk:]
-				if len(part) > chunk {
-					part = part[:chunk]
-				}
-				last := (c+1)*chunk >= len(stream)
-				nw.Eng.After(netsim.Time(c)*netsim.Duration(pace), func() {
-					for _, kv := range part {
-						if err := s.Send([]byte(kv.Key), kv.Value); err != nil {
-							*slot = err
-							return
-						}
-					}
-					if last {
-						s.End()
-					}
-				})
-			}
-		}
-		return tn, nil
-	}
-
-	victimCfg := core.ReliableConfig{Window: 4, RTO: 500 * time.Microsecond, MaxRetries: 10_000}
-	victim, err := installTenant(0, victims, victimReducer, cfg.VictimPairs, cfg.Vocab,
-		victimCfg, 8, &res.VictimCompletion, 100*time.Microsecond, 20)
+	victim, err := fanIn(d, victimReducer, victims, controller.TreeOptions{TableSize: 4096, RootReplay: 8},
+		4, cfg.Seed, cfg.VictimPairs, cfg.Vocab, paced)
 	if err != nil {
 		return nil, err
 	}
-	var aggressor *tenant
+	victim.col.OnComplete = func() { res.VictimCompletion = nw.Now() }
+	rounds := []*fanInRound{victim}
 	if !cfg.VictimOnly {
-		// RootReplay 512 lets the aggressor keep ~68 KB of spill/flush
-		// traffic in flight — more than the whole shared memory, so the
-		// only thing bounding its occupancy is the pool's admission.
-		aggCfg := core.ReliableConfig{Window: 32, RTO: 500 * time.Microsecond, MaxRetries: 10_000}
-		aggressor, err = installTenant(1, aggs, aggReducer, cfg.AggPairs, cfg.AggVocab,
-			aggCfg, 512, &res.AggCompletion, 0, 0)
+		// The aggressor's round, tenant 1: a synchronized incast.
+		// RootReplay 512 lets it keep ~68 KB of spill/flush traffic in
+		// flight — more than the whole shared memory, so the only thing
+		// bounding its occupancy is the pool's admission.
+		aggressor, err := fanIn(d, aggReducer, aggs, controller.TreeOptions{
+			TableSize: 4096, RootReplay: 512, DataClass: 1, AckClass: 1, Tenant: 1,
+		}, 32, cfg.Seed, cfg.AggPairs, cfg.AggVocab, feedAll)
 		if err != nil {
 			return nil, err
 		}
+		aggressor.col.OnComplete = func() { res.AggCompletion = nw.Now() }
+		rounds = append(rounds, aggressor)
 	}
 
 	var rec *telemetry.Recorder
 	if cfg.Telemetry != nil {
 		rec = telemetry.NewRecorder(nw, *cfg.Telemetry)
-		if err := rec.WatchSwitch(sw, fb.programs[sw]); err != nil {
+		if err := rec.WatchSwitch(sw, d.Programs[sw]); err != nil {
 			return nil, fmt.Errorf("experiments: tenants: %w", err)
 		}
 		rec.EnablePathTrace([]netsim.NodeID{sw})
@@ -311,32 +240,9 @@ func tenants(cfg TenantsConfig, tracer netsim.FrameTracer) (*TenantsResult, erro
 	} else if err := nw.Run(400_000_000); err != nil {
 		return nil, fmt.Errorf("experiments: tenants: %w", err)
 	}
-
-	finish := func(name string, tn *tenant) error {
-		for i, err := range tn.feedErr {
-			if err != nil {
-				return fmt.Errorf("experiments: tenants: %s sender %d feed: %w", name, i, err)
-			}
-		}
-		for i, s := range tn.senders {
-			if !s.Done() {
-				return fmt.Errorf("experiments: tenants: %s sender %d incomplete: %v", name, i, s.Err())
-			}
-		}
-		if !tn.col.Complete() {
-			return fmt.Errorf("experiments: tenants: %s collector incomplete (%+v)", name, tn.col.Stats)
-		}
-		if err := verifyExactOnce(tn.col, tn.want); err != nil {
-			return fmt.Errorf("experiments: tenants: %s: %w", name, err)
-		}
-		return nil
-	}
-	if err := finish("victim", victim); err != nil {
-		return nil, err
-	}
-	if aggressor != nil {
-		if err := finish("aggressor", aggressor); err != nil {
-			return nil, err
+	for i, r := range rounds {
+		if _, err := r.check(); err != nil {
+			return nil, fmt.Errorf("experiments: tenants: %s %w", []string{"victim", "aggressor"}[i], err)
 		}
 	}
 
@@ -345,7 +251,7 @@ func tenants(cfg TenantsConfig, tracer netsim.FrameTracer) (*TenantsResult, erro
 	// its reducer.
 	account := func(hostsOf []netsim.NodeID, reducer netsim.NodeID) (attempted, dropped uint64) {
 		for _, h := range append(append([]netsim.NodeID(nil), hostsOf...), reducer) {
-			p := fb.fab.PortTo(sw, h)
+			p := d.Fab.PortTo(sw, h)
 			st := nw.PortStats(sw, p)
 			attempted += st.TxFrames + st.DropsPool + st.DropsFull + st.DropsLoss
 			dropped += st.DropsPool + st.DropsFull + st.DropsLoss
@@ -363,11 +269,11 @@ func tenants(cfg TenantsConfig, tracer netsim.FrameTracer) (*TenantsResult, erro
 	res.AggPoolDrops = ps.Classes[1].Drops
 	// Attribution consistency: each tenant's hosts are disjoint, so the
 	// per-class drop counters must equal the per-port sums.
-	if vp := portPoolDrops(nw, fb.fab, sw, victims, victimReducer); vp != res.VictimPoolDrops {
+	if vp := portPoolDrops(nw, d.Fab, sw, victims, victimReducer); vp != res.VictimPoolDrops {
 		return nil, fmt.Errorf("experiments: tenants: victim drop attribution: class %d, ports %d",
 			res.VictimPoolDrops, vp)
 	}
-	if ap := portPoolDrops(nw, fb.fab, sw, aggs, aggReducer); ap != res.AggPoolDrops {
+	if ap := portPoolDrops(nw, d.Fab, sw, aggs, aggReducer); ap != res.AggPoolDrops {
 		return nil, fmt.Errorf("experiments: tenants: aggressor drop attribution: class %d, ports %d",
 			res.AggPoolDrops, ap)
 	}

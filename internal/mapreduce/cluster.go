@@ -107,60 +107,35 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, fmt.Errorf("mapreduce: plan has %d hosts, need %d",
 			len(plan.Hosts), cfg.NumMappers+cfg.NumReducers)
 	}
-	c := &Cluster{
-		Cfg:      cfg,
-		Net:      netsim.New(cfg.Seed),
-		Programs: make(map[netsim.NodeID]*core.Program),
-		Hosts:    make(map[netsim.NodeID]*transport.Host),
-	}
-	var buildErr error
-	mkSwitch := func(id netsim.NodeID) netsim.Node {
-		prog, err := core.NewProgram(core.ProgramConfig{
-			Geometry:          cfg.Geometry,
-			MaxPairsPerPacket: cfg.MaxPairsPerPacket,
-			SRAMBudget:        cfg.SRAMBudget,
-		})
-		if err != nil {
-			buildErr = err
-			prog = mustEmptyProgram()
-		}
-		c.Programs[id] = prog
-		return prog.Switch()
-	}
-	mkHost := func(id netsim.NodeID) netsim.Node {
-		h := transport.NewHost()
-		c.Hosts[id] = h
-		return h
-	}
-	c.Fab = plan.Realize(c.Net, mkSwitch, mkHost)
-	if buildErr != nil {
-		return nil, buildErr
+	nw := netsim.New(cfg.Seed)
+	d, err := controller.Deploy(nw, plan, core.ProgramConfig{
+		Geometry:          cfg.Geometry,
+		MaxPairsPerPacket: cfg.MaxPairsPerPacket,
+		SRAMBudget:        cfg.SRAMBudget,
+	})
+	if err != nil {
+		return nil, err
 	}
 	if cfg.SwitchPool != nil {
 		for _, sw := range plan.Switches {
 			if _, has := plan.Pools[sw]; has {
 				continue // the plan's own per-tier sizing wins
 			}
-			if err := c.Net.SetNodePool(sw, *cfg.SwitchPool); err != nil {
+			if err := nw.SetNodePool(sw, *cfg.SwitchPool); err != nil {
 				return nil, err
 			}
 		}
 	}
-	c.Mappers = plan.Hosts[:cfg.NumMappers]
-	c.Reducers = plan.Hosts[cfg.NumMappers : cfg.NumMappers+cfg.NumReducers]
-	c.Ctl = controller.New(c.Fab, c.Programs)
-	if err := c.Ctl.InstallRouting(); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func mustEmptyProgram() *core.Program {
-	p, err := core.NewProgram(core.ProgramConfig{})
-	if err != nil {
-		panic(err)
-	}
-	return p
+	return &Cluster{
+		Cfg:      cfg,
+		Net:      nw,
+		Fab:      d.Fab,
+		Ctl:      d.Ctl,
+		Programs: d.Programs,
+		Hosts:    d.Hosts,
+		Mappers:  plan.Hosts[:cfg.NumMappers],
+		Reducers: plan.Hosts[cfg.NumMappers : cfg.NumMappers+cfg.NumReducers],
+	}, nil
 }
 
 // ReducerReport is one reducer's measured outcome — one sample of each
@@ -193,147 +168,156 @@ type Result struct {
 
 // RunJob executes one job over the given input splits (len(splits) must
 // equal NumMappers) in the given mode and returns per-reducer measurements.
-// Each RunJob call assumes a fresh cluster for clean counters; reusing a
-// cluster across runs accumulates NIC statistics.
+// The DAIET and UDP modes are the one-tenant case of RunJobs. Each RunJob
+// call assumes a fresh cluster for clean counters; reusing a cluster
+// across runs accumulates NIC statistics.
 func (c *Cluster) RunJob(job Job, splits [][]string, mode Mode) (*Result, error) {
 	if len(splits) != len(c.Mappers) {
 		return nil, fmt.Errorf("mapreduce: %d splits for %d mappers", len(splits), len(c.Mappers))
 	}
-	agg, err := core.FuncByID(job.Agg)
-	if err != nil {
-		return nil, err
-	}
-
-	// ---- Map phase (host-local, no network) ----
-	spills, err := runMapPhase(job, splits, len(c.Reducers), c.Cfg.Geometry)
-	if err != nil {
-		return nil, err
-	}
-	var totalPairs uint64
-	for m := range spills {
-		for r := range spills[m] {
-			totalPairs += uint64(spills[m][r].n)
-		}
-	}
-
-	// Snapshot reducer NIC counters so multiple phases on one cluster can
-	// be measured independently.
-	baseRx := make([]transport.HostStats, len(c.Reducers))
-	for i, r := range c.Reducers {
-		baseRx[i] = c.Hosts[r].Stats
-	}
-
-	// ---- Shuffle phase ----
-	var reports []ReducerReport
-	var treeStats []core.TreeStats
 	switch mode {
 	case ModeDAIET, ModeUDPBaseline:
-		reports, treeStats, err = c.shuffleDaiet(job, agg, spills, mode == ModeDAIET)
-	case ModeTCPBaseline:
-		reports, err = c.shuffleTCP(agg, spills)
-	default:
-		return nil, fmt.Errorf("mapreduce: unknown mode %d", mode)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	// NIC-level packet counts.
-	for i := range reports {
-		st := c.Hosts[c.Reducers[i]].Stats
-		reports[i].PacketsReceived = st.FramesRx - baseRx[i].FramesRx
-		reports[i].Reducer = c.Reducers[i]
-	}
-
-	// ---- Verification ----
-	for i := range reports {
-		if err := verifyAgainstReference(spills, i, agg, reports[i].Output); err != nil {
+		res, err := c.shuffle([]TenantJob{{Job: job, Splits: splits, Mappers: c.Mappers, Reducers: c.Reducers}},
+			mode == ModeDAIET)
+		if err != nil {
 			return nil, err
 		}
+		return &res[0].Result, nil
+	case ModeTCPBaseline:
+		return c.shuffleTCP(job, splits)
 	}
-	return &Result{
-		Mode:            mode,
-		Job:             job.Name,
-		PerReducer:      reports,
-		TotalPairsIn:    totalPairs,
-		Elapsed:         c.Net.Now(),
-		SwitchTreeStats: treeStats,
-	}, nil
+	return nil, fmt.Errorf("mapreduce: unknown mode %d", mode)
 }
 
-// shuffleDaiet runs the DAIET protocol shuffle; aggregate selects whether
-// trees are installed (DAIET mode) or not (UDP baseline). It returns the
-// per-reducer reports and, in DAIET mode, the switch-side tree counters.
-func (c *Cluster) shuffleDaiet(job Job, agg core.AggFunc, spills [][]*spill, aggregate bool) ([]ReducerReport, []core.TreeStats, error) {
-	collectors := make([]*core.Collector, len(c.Reducers))
-	plans := make([]*controller.TreePlan, len(c.Reducers))
-	for i, r := range c.Reducers {
-		plan, err := c.Ctl.PlanTree(r, c.Mappers)
+// mapPhase resolves a job's aggregation function and runs its map phase
+// (host-local, no network): one spill per (mapper, reducer) and the number
+// of pairs they hold.
+func (c *Cluster) mapPhase(job Job, splits [][]string, reducers int) (core.AggFunc, [][]*spill, uint64, error) {
+	agg, err := core.FuncByID(job.Agg)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	spills, err := runMapPhase(job, splits, reducers, c.Cfg.Geometry)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	var pairs uint64
+	for m := range spills {
+		for r := range spills[m] {
+			pairs += uint64(spills[m][r].n)
+		}
+	}
+	return agg, spills, pairs, nil
+}
+
+// shuffle runs every tenant's job through the DAIET protocol in one shared
+// run: each tenant's map phase, then every reducer's collector (and, when
+// aggregate, its aggregation tree, tagged with the tenant's traffic
+// classes) up front, then every mapper's spills queued at t=0, then
+// per-tenant reduce, verification against the host-side reference, and
+// tree teardown. Without aggregate it is the UDP baseline: no tree is
+// installed and each collector expects one END per mapper.
+func (c *Cluster) shuffle(tenants []TenantJob, aggregate bool) ([]TenantResult, error) {
+	type tenantRun struct {
+		agg        core.AggFunc
+		spills     [][]*spill
+		pairs      uint64
+		plans      []*controller.TreePlan
+		collectors []*core.Collector
+		baseRx     []transport.HostStats
+		remaining  int
+		completion netsim.Time
+	}
+	runs := make([]*tenantRun, len(tenants))
+	for t := range tenants {
+		tj := &tenants[t]
+		agg, spills, pairs, err := c.mapPhase(tj.Job, tj.Splits, len(tj.Reducers))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		plans[i] = plan
-		expectedEnds := len(c.Mappers)
-		if aggregate {
-			if err := c.Ctl.InstallTree(plan, controller.TreeOptions{
-				Agg:       job.Agg,
-				TableSize: c.Cfg.TableSize,
-			}); err != nil {
-				return nil, nil, err
-			}
-			expectedEnds = plan.RootChildren()
-		}
-		col := core.NewCollector(uint32(r), agg, c.Cfg.Geometry, expectedEnds)
-		col.KeepRaw = true
-		col.Attach(c.Hosts[r])
-		collectors[i] = col
+		runs[t] = &tenantRun{agg: agg, spills: spills, pairs: pairs, remaining: len(tj.Reducers)}
 	}
 
-	// Every mapper streams each partition then ENDs it.
-	for m, mapper := range c.Mappers {
-		for ri, reducer := range c.Reducers {
-			s, err := core.NewSender(c.Hosts[mapper], uint32(reducer), reducer,
-				c.Cfg.Geometry, c.Cfg.MaxPairsPerPacket)
+	for t := range tenants {
+		tj, tr := &tenants[t], runs[t]
+		for _, r := range tj.Reducers {
+			plan, err := c.Ctl.PlanTree(r, tj.Mappers)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			// Bulk producer: the whole stream is queued at t=0 before the
-			// event loop runs, so batching the carrier hand-offs leaves wire
-			// order and timing unchanged.
-			s.SetMaxBurst(32)
-			sp := spills[m][ri]
-			for i := 0; i < sp.n; i++ {
-				k, v := sp.record(i)
-				if err := s.Send(wire.TrimKey(k), v); err != nil {
-					return nil, nil, err
+			expectedEnds := len(tj.Mappers)
+			if aggregate {
+				if err := c.Ctl.InstallTree(plan, controller.TreeOptions{
+					Agg:       tj.Job.Agg,
+					TableSize: c.Cfg.TableSize,
+					DataClass: tj.DataClass,
+					AckClass:  tj.AckClass,
+					Tenant:    t,
+				}); err != nil {
+					return nil, err
+				}
+				tr.plans = append(tr.plans, plan)
+				expectedEnds = plan.RootChildren()
+			}
+			col := core.NewCollector(uint32(r), tr.agg, c.Cfg.Geometry, expectedEnds)
+			col.KeepRaw = true
+			col.Attach(c.Hosts[r])
+			col.OnComplete = func() {
+				tr.remaining--
+				if tr.remaining == 0 {
+					tr.completion = c.Net.Now()
 				}
 			}
-			s.End()
+			tr.collectors = append(tr.collectors, col)
+			tr.baseRx = append(tr.baseRx, c.Hosts[r].Stats)
+		}
+	}
+
+	for t := range tenants {
+		tj := &tenants[t]
+		for m, mapper := range tj.Mappers {
+			for ri, reducer := range tj.Reducers {
+				if err := c.sendSpill(c.Hosts[mapper], reducer, runs[t].spills[m][ri], 0); err != nil {
+					return nil, err
+				}
+			}
 		}
 	}
 	if err := c.Net.Run(0); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	reports := make([]ReducerReport, len(c.Reducers))
-	for i, col := range collectors {
-		if !col.Complete() {
-			return nil, nil, fmt.Errorf("mapreduce: reducer %d shuffle incomplete (%+v)", i, col.Stats)
-		}
-		out, dur := reduceSortAll(col.RawPairs, agg)
-		reports[i] = ReducerReport{
-			PayloadBytes:  col.Stats.PayloadBytes,
-			PairsReceived: col.Stats.PairsReceived,
-			ReduceTime:    dur,
-			UniqueKeys:    len(out),
-			Output:        out,
-		}
-	}
-	// Capture switch-side counters, then leave the fabric clean for
-	// subsequent runs.
-	var treeStats []core.TreeStats
+	mode := ModeUDPBaseline
 	if aggregate {
-		for _, plan := range plans {
+		mode = ModeDAIET
+	}
+	results := make([]TenantResult, len(tenants))
+	for t := range tenants {
+		tj, tr := &tenants[t], runs[t]
+		reports := make([]ReducerReport, len(tj.Reducers))
+		for i, col := range tr.collectors {
+			if !col.Complete() {
+				return nil, fmt.Errorf("mapreduce: tenant %d reducer %d shuffle incomplete (%+v)",
+					t, i, col.Stats)
+			}
+			out, dur := reduceSortAll(col.RawPairs, tr.agg)
+			reports[i] = ReducerReport{
+				Reducer:         tj.Reducers[i],
+				PacketsReceived: c.Hosts[tj.Reducers[i]].Stats.FramesRx - tr.baseRx[i].FramesRx,
+				PayloadBytes:    col.Stats.PayloadBytes,
+				PairsReceived:   col.Stats.PairsReceived,
+				ReduceTime:      dur,
+				UniqueKeys:      len(out),
+				Output:          out,
+			}
+			if err := verifyAgainstReference(tr.spills, i, tr.agg, out); err != nil {
+				return nil, fmt.Errorf("mapreduce: tenant %d: %w", t, err)
+			}
+		}
+		// Capture switch-side counters, then leave the fabric clean for
+		// subsequent runs.
+		var treeStats []core.TreeStats
+		for _, plan := range tr.plans {
 			for _, sw := range plan.SwitchNodes {
 				if st, ok := c.Programs[sw].TreeStats(plan.TreeID); ok {
 					treeStats = append(treeStats, st)
@@ -341,23 +325,63 @@ func (c *Cluster) shuffleDaiet(job Job, agg core.AggFunc, spills [][]*spill, agg
 			}
 			c.Ctl.UninstallTree(plan)
 		}
+		results[t] = TenantResult{
+			Result: Result{
+				Mode:            mode,
+				Job:             tj.Job.Name,
+				PerReducer:      reports,
+				TotalPairsIn:    tr.pairs,
+				Elapsed:         c.Net.Now(),
+				SwitchTreeStats: treeStats,
+			},
+			Tenant:     t,
+			Completion: tr.completion,
+		}
 	}
-	return reports, treeStats, nil
+	return results, nil
 }
 
-// shuffleTCP runs the classic sorted shuffle over tcplite.
-func (c *Cluster) shuffleTCP(agg core.AggFunc, spills [][]*spill) ([]ReducerReport, error) {
+// sendSpill streams one mapper's spill for one reducer into the reducer's
+// tree under the given round epoch (0 outside fault-tolerant rounds), then
+// ENDs it. This is every shuffle's one send loop.
+func (c *Cluster) sendSpill(host *transport.Host, reducer netsim.NodeID, sp *spill, epoch uint8) error {
+	s, err := core.NewSender(host, uint32(reducer), reducer, c.Cfg.Geometry, c.Cfg.MaxPairsPerPacket)
+	if err != nil {
+		return err
+	}
+	s.SetEpoch(epoch)
+	// Bulk producer: the whole stream is queued before the event loop
+	// runs, so batching the carrier hand-offs leaves wire order and timing
+	// unchanged.
+	s.SetMaxBurst(32)
+	for i := 0; i < sp.n; i++ {
+		k, v := sp.record(i)
+		if err := s.Send(wire.TrimKey(k), v); err != nil {
+			return err
+		}
+	}
+	s.End()
+	return nil
+}
+
+// shuffleTCP runs the job through the classic sorted shuffle over tcplite.
+func (c *Cluster) shuffleTCP(job Job, splits [][]string) (*Result, error) {
+	agg, spills, pairsIn, err := c.mapPhase(job, splits, len(c.Reducers))
+	if err != nil {
+		return nil, err
+	}
 	type rxState struct {
 		runs    [][]byte
 		open    int
 		done    bool
 		payload uint64
+		baseRx  uint64
 	}
 	states := make([]*rxState, len(c.Reducers))
 	for i, r := range c.Reducers {
-		st := &rxState{}
-		states[i] = st
 		host := c.Hosts[r]
+		st := &rxState{baseRx: host.Stats.FramesRx}
+		states[i] = st
 		host.ListenTCP(tcpShufflePort, func(conn *transport.Conn) {
 			st.open++
 			idx := len(st.runs)
@@ -381,13 +405,10 @@ func (c *Cluster) shuffleTCP(agg core.AggFunc, spills [][]*spill) ([]ReducerRepo
 		for ri, reducer := range c.Reducers {
 			sp := spills[m][ri]
 			sp.sortRecords()
-			host := c.Hosts[mapper]
-			data := sp.data
-			mss := c.Cfg.MSS
-			conn := host.DialTCP(reducer, tcpShufflePort, func(conn *transport.Conn) {})
-			conn.SetMSS(mss)
-			if len(data) > 0 {
-				conn.Write(data)
+			conn := c.Hosts[mapper].DialTCP(reducer, tcpShufflePort, func(conn *transport.Conn) {})
+			conn.SetMSS(c.Cfg.MSS)
+			if len(sp.data) > 0 {
+				conn.Write(sp.data)
 			}
 			conn.Close()
 		}
@@ -410,12 +431,23 @@ func (c *Cluster) shuffleTCP(agg core.AggFunc, spills [][]*spill) ([]ReducerRepo
 		}
 		out, dur := reduceMergeRuns(runs, agg)
 		reports[i] = ReducerReport{
-			PayloadBytes:  st.payload,
-			PairsReceived: pairs,
-			ReduceTime:    dur,
-			UniqueKeys:    len(out),
-			Output:        out,
+			Reducer:         c.Reducers[i],
+			PacketsReceived: c.Hosts[c.Reducers[i]].Stats.FramesRx - st.baseRx,
+			PayloadBytes:    st.payload,
+			PairsReceived:   pairs,
+			ReduceTime:      dur,
+			UniqueKeys:      len(out),
+			Output:          out,
+		}
+		if err := verifyAgainstReference(spills, i, agg, out); err != nil {
+			return nil, err
 		}
 	}
-	return reports, nil
+	return &Result{
+		Mode:         ModeTCPBaseline,
+		Job:          job.Name,
+		PerReducer:   reports,
+		TotalPairsIn: pairsIn,
+		Elapsed:      c.Net.Now(),
+	}, nil
 }

@@ -10,7 +10,6 @@ import (
 	"github.com/daiet/daiet/internal/faults"
 	"github.com/daiet/daiet/internal/netsim"
 	"github.com/daiet/daiet/internal/topology"
-	"github.com/daiet/daiet/internal/wire"
 )
 
 // Fault-tolerant shuffle: RunJobFT executes a DAIET MapReduce job while a
@@ -146,20 +145,11 @@ func (c *Cluster) RunJobFT(job Job, splits [][]string, sched faults.Schedule, cf
 	if len(splits) != len(c.Mappers) {
 		return nil, fmt.Errorf("mapreduce: %d splits for %d mappers", len(splits), len(c.Mappers))
 	}
-	agg, err := core.FuncByID(job.Agg)
+	agg, spills, pairsIn, err := c.mapPhase(job, splits, len(c.Reducers))
 	if err != nil {
 		return nil, err
 	}
-	spills, err := runMapPhase(job, splits, len(c.Reducers), c.Cfg.Geometry)
-	if err != nil {
-		return nil, err
-	}
-	rep := &FTReport{Job: job.Name}
-	for m := range spills {
-		for r := range spills[m] {
-			rep.TotalPairsIn += uint64(spills[m][r].n)
-		}
-	}
+	rep := &FTReport{Job: job.Name, TotalPairsIn: pairsIn}
 
 	mapperIdx := make(map[netsim.NodeID]int, len(c.Mappers))
 	for i, m := range c.Mappers {
@@ -480,20 +470,9 @@ func (d *ftDriver) startRound(t *ftTree, now netsim.Time) error {
 			d.rep.RecoveredPairs += uint64(sp.n)
 		}
 		t.attempted[m] = true
-		s, err := core.NewSender(d.c.Hosts[m], uint32(t.reducer), t.reducer,
-			d.c.Cfg.Geometry, d.c.Cfg.MaxPairsPerPacket)
-		if err != nil {
+		if err := d.c.sendSpill(d.c.Hosts[m], t.reducer, sp, t.epoch); err != nil {
 			return err
 		}
-		s.SetEpoch(t.epoch)
-		s.SetMaxBurst(32)
-		for i := 0; i < sp.n; i++ {
-			k, v := sp.record(i)
-			if err := s.Send(wire.TrimKey(k), v); err != nil {
-				return err
-			}
-		}
-		s.End()
 	}
 	t.active = true
 	return nil

@@ -42,9 +42,9 @@ func traced(cl *Cluster) *frameOrder {
 
 func (f *frameOrder) String() string { return fmt.Sprintf("%d frames %#016x", f.frames, f.h.Sum64()) }
 
-// TestShuffleFrameOrder pins the order in which every shuffle driver puts
-// frames on the wire: RunJob in each mode over a pooled leaf-spine,
-// a two-tenant RunJobs, and a fault-free RunJobFT.
+// TestShuffleFrameOrder pins the order in which every shuffle entry
+// point puts frames on the wire: RunJob in each mode over a pooled
+// leaf-spine, a two-tenant RunJobs, and a fault-free RunJobFT.
 func TestShuffleFrameOrder(t *testing.T) {
 	const mappers, reducers, tableSize = 5, 3, 512
 	splits, _ := miniCorpus(t, mappers, reducers, 120, 5, tableSize)

@@ -2,9 +2,7 @@ package daiet
 
 import (
 	"fmt"
-	"sort"
 
-	"github.com/daiet/daiet/internal/controller"
 	"github.com/daiet/daiet/internal/core"
 	"github.com/daiet/daiet/internal/trace"
 )
@@ -31,62 +29,12 @@ type (
 // InstallReliableTree is InstallTree with the loss-recovery gate enabled:
 // the tree's switches accept each mapper's packets in sequence order,
 // acknowledge cumulatively, and de-duplicate retransmissions, keeping
-// aggregation exactly-once. Use NewReliableSender for the worker side.
+// aggregation exactly-once. Each switch's valid senders are its own tree
+// children: mappers on edge switches, upstream switches on aggregation
+// levels (their flush streams are sequenced too, so the in-order gate
+// passes them). Use NewReliableSender for the worker side.
 func (n *Network) InstallReliableTree(reducer NodeID, mappers []NodeID, opt TreeOptions) (*TreePlan, error) {
-	if opt.Agg == 0 {
-		opt.Agg = AggSum
-	}
-	if opt.TableSize == 0 {
-		opt.TableSize = 16384
-	}
-	plan, err := n.Controller.PlanTree(reducer, mappers)
-	if err != nil {
-		return nil, err
-	}
-	// Each switch's valid senders are its own tree children: mappers on
-	// edge switches, upstream switches on aggregation levels (their flush
-	// streams are sequenced too, so the in-order gate passes them).
-	childrenOf := make(map[NodeID][]uint32)
-	for child, parent := range plan.Parent {
-		childrenOf[parent] = append(childrenOf[parent], uint32(child))
-	}
-	// Sender tables in sorted order: plan.Parent is a map, and table order
-	// must not inherit its randomized iteration order (the controller's
-	// InstallTree applies the same contract).
-	for _, kids := range childrenOf {
-		sort.Slice(kids, func(i, j int) bool { return kids[i] < kids[j] })
-	}
-	installed := make([]NodeID, 0, len(plan.SwitchNodes))
-	for _, sw := range plan.SwitchNodes {
-		prog := n.Programs[sw]
-		if prog == nil {
-			n.rollbackTrees(plan, installed)
-			return nil, fmt.Errorf("daiet: no program on switch %d", sw)
-		}
-		err := prog.ConfigureTree(core.TreeConfig{
-			TreeID:    plan.TreeID,
-			OutPort:   n.Fabric.PortTo(sw, plan.Parent[sw]),
-			Children:  plan.Children[sw],
-			Agg:       opt.Agg,
-			TableSize: opt.TableSize,
-			SpillCap:  opt.SpillCap,
-			Reliable:  true,
-			Senders:   childrenOf[sw],
-		})
-		if err != nil {
-			n.rollbackTrees(plan, installed)
-			return nil, err
-		}
-		installed = append(installed, sw)
-	}
-	n.plans[plan.TreeID] = plan
-	return plan, nil
-}
-
-func (n *Network) rollbackTrees(plan *controller.TreePlan, switches []NodeID) {
-	for _, sw := range switches {
-		n.Programs[sw].RemoveTree(plan.TreeID)
-	}
+	return n.installTree(reducer, mappers, opt, true)
 }
 
 // NewReliableSender creates the loss-tolerant counterpart of NewSender and
