@@ -248,8 +248,13 @@ func (s *ReliableSender) armTimer() {
 }
 
 func (s *ReliableSender) onTimer(gen int) {
+	if gen != s.timerGen {
+		// Superseded: an ACK restarted the clock and a newer chain owns
+		// timerOn — clearing it here would let a duplicate chain be armed.
+		return
+	}
 	s.timerOn = false
-	if gen != s.timerGen || len(s.payloads) == 0 || s.failed != nil {
+	if len(s.payloads) == 0 || s.failed != nil {
 		return
 	}
 	s.retries++

@@ -326,3 +326,75 @@ func indexOf(ids []netsim.NodeID, id netsim.NodeID) int {
 	}
 	return -1
 }
+
+// fakeClockCarrier is a TimerCarrier on a hand-advanced clock: it records
+// every datagram and runs a timer only when advance passes its deadline.
+type fakeClockCarrier struct {
+	now    time.Duration
+	timers []fakeTimer
+	sent   int
+}
+
+type fakeTimer struct {
+	at time.Duration
+	fn func()
+}
+
+func (c *fakeClockCarrier) ID() netsim.NodeID { return 1 }
+
+func (c *fakeClockCarrier) SendUDP(netsim.NodeID, uint16, uint16, []byte) { c.sent++ }
+
+func (c *fakeClockCarrier) After(d time.Duration, fn func()) {
+	c.timers = append(c.timers, fakeTimer{at: c.now + d, fn: fn})
+}
+
+// advance moves the clock to t, running due timers in deadline order.
+func (c *fakeClockCarrier) advance(t time.Duration) {
+	for {
+		i := -1
+		for j, tm := range c.timers {
+			if tm.at <= t && (i < 0 || tm.at < c.timers[i].at) {
+				i = j
+			}
+		}
+		if i < 0 {
+			break
+		}
+		tm := c.timers[i]
+		c.timers = append(c.timers[:i], c.timers[i+1:]...)
+		c.now = tm.at
+		tm.fn()
+	}
+	c.now = t
+}
+
+// TestReliableStaleTimerArmsNoSecondChain: a timer superseded by an ACK
+// fires dead and must not let the next enqueue arm a second live chain —
+// two chains would both resend the window every RTO. Kills the mutant that
+// clears the armed flag before the staleness check.
+func TestReliableStaleTimerArmsNoSecondChain(t *testing.T) {
+	const rto = 10 * time.Microsecond
+	c := &fakeClockCarrier{}
+	s, err := core.NewReliableSender(c, 1, 2, wire.DefaultGeometry, 1, core.ReliableConfig{RTO: rto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "b"} { // one pair per packet: seq 0, 1
+		if err := s.Send([]byte(k), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.advance(rto / 2)
+	s.HandleAck(1)                                 // releases seq 0 and restarts the clock at rto/2
+	c.advance(rto)                                 // the first arm's deadline: that timer is stale
+	if err := s.Send([]byte("c"), 1); err != nil { // seq 2
+		t.Fatal(err)
+	}
+	// Past the live deadline (3rto/2) and the would-be duplicate's (2rto),
+	// short of the re-armed one (5rto/2): exactly one go-back-N fire.
+	c.advance(2 * rto)
+	if s.Stats.Retransmissions != 2 || c.sent != 5 {
+		t.Fatalf("retransmissions %d, datagrams %d; want the 2-packet window resent once (2, 5)",
+			s.Stats.Retransmissions, c.sent)
+	}
+}
