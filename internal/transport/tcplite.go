@@ -242,10 +242,10 @@ func (c *Conn) armTimer() {
 // onTimer retransmits from sndUna (go-back-N) when the timer is still
 // relevant.
 func (c *Conn) onTimer(gen int) {
-	c.timerArmed = false
 	if gen != c.timerGen || c.state == StateClosed {
-		return
+		return // superseded: the newer chain owns timerArmed
 	}
+	c.timerArmed = false
 	if c.sndUna == c.sndNxt {
 		return // everything acked meanwhile
 	}

@@ -18,12 +18,16 @@ type forwarder struct {
 	nw    *netsim.Network
 	id    netsim.NodeID
 	route map[uint32]int
+	drop  func(frame []byte) bool // optional: true discards the frame
 }
 
 func (f *forwarder) Attach(nw *netsim.Network, id netsim.NodeID) { f.nw, f.id = nw, id }
 func (f *forwarder) HandleFrame(_ int, frame []byte) {
 	var eth wire.Ethernet
 	if _, err := eth.DecodeFrom(frame); err != nil {
+		return
+	}
+	if f.drop != nil && f.drop(frame) {
 		return
 	}
 	if port, ok := f.route[eth.Dst.NodeID()]; ok {
@@ -34,6 +38,7 @@ func (f *forwarder) HandleFrame(_ int, frame []byte) {
 // rig is two hosts joined by one switch.
 type rig struct {
 	nw   *netsim.Network
+	sw   *forwarder
 	a, b *Host
 }
 
@@ -49,7 +54,7 @@ func newRig(t *testing.T, cfg netsim.LinkConfig) *rig {
 	pb, _ := nw.Connect(netsim.NodeID(topology.SwitchBase), 2, cfg)
 	sw.route[1] = pa
 	sw.route[2] = pb
-	return &rig{nw: nw, a: a, b: b}
+	return &rig{nw: nw, sw: sw, a: a, b: b}
 }
 
 func uint32ID(id netsim.NodeID) netsim.NodeID { return id }
@@ -323,5 +328,55 @@ func TestTCPSlowLinkBackpressure(t *testing.T) {
 	// retransmission is tolerable but the stream must not explode.
 	if cli.Stats.Retrans > 200 {
 		t.Fatalf("excessive retransmissions: %d", cli.Stats.Retrans)
+	}
+}
+
+// TestTCPStaleTimerArmsNoSecondChain: a retransmit timer superseded by an
+// ACK fires dead and must not let the next send arm a second live chain —
+// two chains would both go back N every RTO. The client sends segments
+// 'a' and 'b' ('b' is lost until late), the ACK of 'a' restarts the clock,
+// the first arm's stale timer fires, and then 'c' is sent: by the time the
+// would-be duplicate chain expires, the window is resent exactly once.
+// Kills the mutant that clears the armed flag before the staleness check.
+func TestTCPStaleTimerArmsNoSecondChain(t *testing.T) {
+	const (
+		mss = 100
+		rto = 100 * time.Microsecond
+	)
+	r := newRig(t, netsim.LinkConfig{})
+	r.sw.drop = func(frame []byte) bool {
+		var (
+			eth wire.Ethernet
+			ip  wire.IPv4
+			seg wire.TCPLite
+		)
+		p, err := eth.DecodeFrom(frame)
+		if err == nil {
+			p, err = ip.DecodeFrom(p)
+		}
+		if err == nil {
+			p, err = seg.DecodeFrom(p)
+		}
+		return err == nil && len(p) > 0 && p[0] == 'b' && r.nw.Now() < netsim.Duration(3*rto)
+	}
+	r.b.ListenTCP(8080, func(*Conn) {})
+	client := r.a.DialTCP(2, 8080, func(*Conn) {})
+	client.SetMSS(mss)
+	client.SetRTO(rto)
+	client.Write(append(bytes.Repeat([]byte("a"), mss), bytes.Repeat([]byte("b"), mss)...))
+
+	// The handshake takes about one 4.5 µs round trip, so 'a' and 'b' leave
+	// (arming the clock) near 4.5 µs and the ACK of 'a' re-arms near 9 µs.
+	// 106 µs lies between the stale deadline and the live one.
+	r.nw.RunUntil(netsim.Duration(rto + 6*time.Microsecond))
+	if client.Stats.Retrans != 0 || client.Stats.DataSegsTx != 2 {
+		t.Fatalf("before 'c': %+v, want 2 data segments and no retransmission", client.Stats)
+	}
+	client.Write(bytes.Repeat([]byte("c"), mss))
+	// Past the live deadline (~109 µs) and a duplicate chain's (~206 µs),
+	// short of the re-armed one (~209 µs).
+	r.nw.RunUntil(netsim.Duration(2*rto + 7*time.Microsecond))
+	if client.Stats.Retrans != 2 {
+		t.Fatalf("retransmissions %d; want the 2-segment window resent once", client.Stats.Retrans)
 	}
 }
