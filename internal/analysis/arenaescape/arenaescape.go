@@ -32,8 +32,9 @@ var hotPackages = []string{"netsim", "dataplane", "telemetry"}
 var arenaTypes = []string{"frameArena", "fnArena"}
 
 // arenaFuncs may touch arena internals and event slots: the scheduling
-// helpers (slot birth), Step (slot death), and the stats reader.
-var arenaFuncs = []string{"Schedule", "scheduleFrame", "Step", "ArenaStats"}
+// helpers (slot birth; scheduleAt serves Schedule and a Timer's pops),
+// Step (slot death), and the stats reader.
+var arenaFuncs = []string{"scheduleAt", "scheduleFrame", "Step", "ArenaStats"}
 
 var Analyzer = &framework.Analyzer{
 	Name: "arenaescape",

@@ -10,8 +10,9 @@ import "unsafe"
 // event struct, while the delivery record (node, port, payload reference)
 // lives in the engine's arena, recycled through a LIFO free list. Callback
 // events keep their func in a second arena the same way. Steady state
-// allocates nothing: BenchmarkEventLoop, BenchmarkFrameDelivery,
-// BenchmarkBurstAdmission and BenchmarkMegaIncast all report 0 allocs/op.
+// allocates nothing: BenchmarkEventLoop, BenchmarkTimerReset,
+// BenchmarkFrameDelivery, BenchmarkBurstAdmission and BenchmarkMegaIncast
+// all report 0 allocs/op.
 //
 // Ownership rule (enforced by the arenaescape analyzer): an arena slot is
 // owned by exactly one engine, from alloc to take. Payloads stay
@@ -20,6 +21,12 @@ import "unsafe"
 // while the frame is in flight, and take hands it to the destination
 // node's HandleFrame, after which the arena retains nothing. Only the
 // engine's own push/take helpers may touch arena internals.
+//
+// A Timer record (timer.go) is not arena storage: its owner holds it for
+// life and re-arms it in place. Only its queued pops take fn slots, each
+// holding the one func the timer bound at NewTimer. A timer whose
+// deadline only moves later occupies one slot at a time, where one
+// Schedule per arm held a slot per pending arm.
 
 // frameArena is the struct-of-arrays store for in-flight frame
 // deliveries: parallel slices indexed by slot. Slots are recycled LIFO so

@@ -133,7 +133,14 @@ func (e *Engine) Schedule(at Time, fn func()) {
 		panic(fmt.Sprintf("netsim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, slot: ^e.fns.alloc(fn)})
+	e.scheduleAt(at, e.seq, fn)
+}
+
+// scheduleAt queues fn under an insertion stamp the caller took from the
+// engine counter: Schedule's fresh one, or the one a Timer's Reset saved
+// for its deadline.
+func (e *Engine) scheduleAt(at Time, seq uint64, fn func()) {
+	e.events.push(event{at: at, seq: seq, slot: ^e.fns.alloc(fn)})
 }
 
 // scheduleFrame enqueues the delivery of frame to port of node n, ordered
