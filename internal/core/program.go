@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/daiet/daiet/internal/dataplane"
-	"github.com/daiet/daiet/internal/netsim"
 	"github.com/daiet/daiet/internal/wire"
 )
 
@@ -174,23 +173,12 @@ type treeState struct {
 	epoch       *dataplane.Register // current round epoch per sender
 	lastFinal   *dataplane.Register // final cumulative ack of the previous epoch
 
-	// Root-replay extension (cfg.RootReplay > 0): emitted packets retained
-	// until cumulatively acknowledged. replayBase is the sequence number of
-	// replay[0]; entries are consecutive.
-	replay        []replayPkt
-	replayBase    uint32
-	replayTimerOn bool
-	replayGen     int
+	// Root-replay extension (cfg.RootReplay > 0): every emitted packet,
+	// retained under its egress sequence number until the parent
+	// cumulatively acknowledges it.
+	replay window
 
 	Stats TreeStats
-}
-
-// replayPkt is one retained downstream packet: enough to retransmit it,
-// including the traffic class the original emission left under.
-type replayPkt struct {
-	port  int
-	class int
-	frame []byte
 }
 
 // regNames lists the register names a tree allocates, for teardown.
@@ -323,7 +311,7 @@ func (p *Program) TreeResidency(treeID uint32) (TreeResidency, bool) {
 		Cells:      int(st.stackTop.Cells[0]),
 		TableSize:  st.valid.Len(),
 		SpillPairs: int(st.spillCnt.Cells[0]),
-		ReplayLen:  len(st.replay),
+		ReplayLen:  len(st.replay.frames),
 	}, true
 }
 
@@ -451,6 +439,24 @@ func (p *Program) ConfigureTree(cfg TreeConfig) (err error) {
 		Action: func(c *dataplane.Ctx, _ []uint64) { c.U[slotAggregate] = 1 },
 	}); err != nil {
 		return err
+	}
+	if cfg.RootReplay > 0 {
+		// Go back N with no give-up bound: job-level recovery owns
+		// liveness decisions, and the caller's event budget bounds
+		// pathological cases.
+		st.replay = window{limit: cfg.RootReplay, rto: cfg.RootRTO, resend: func(frames [][]byte) bool {
+			if p.trees[cfg.TreeID] != st {
+				return false // tree torn down (or switch crashed) since arming
+			}
+			// A frame changes owner at InjectClass, so each retransmission
+			// is a copy of the retained one.
+			for _, f := range frames {
+				p.sw.InjectClass(cfg.OutPort, cfg.DataClass, append([]byte(nil), f...))
+			}
+			st.Stats.RootRetransmissions += uint64(len(frames))
+			return true
+		}}
+		st.replay.timer = p.sw.NewTimer(st.replay.expire)
 	}
 	p.trees[cfg.TreeID] = st
 	return nil
@@ -776,7 +782,7 @@ func (p *Program) isSelf(ip []byte) bool {
 
 // handleRootAck consumes a collector's cumulative acknowledgement of this
 // tree's downstream stream: every replay entry below the ACKed sequence is
-// released, and the retransmit timer is re-armed over what remains.
+// released, and the retransmit clock restarts over what remains.
 func (p *Program) handleRootAck(c *dataplane.Ctx, st *treeState) {
 	if st.cfg.PinEpoch && uint8(c.U[slotFlags]>>8) != st.cfg.Epoch {
 		// A straggler ACK from a previous round: honoring its cumulative
@@ -787,67 +793,10 @@ func (p *Program) handleRootAck(c *dataplane.Ctx, st *treeState) {
 		return
 	}
 	st.Stats.RootAcksIn++
-	ack := uint32(c.U[slotSeq])
-	if n := int(int32(ack - st.replayBase)); n > 0 {
-		if n > len(st.replay) {
-			n = len(st.replay)
-		}
-		st.replay = st.replay[n:]
-		st.replayBase += uint32(n)
-		st.replayGen++ // progress: restart the retransmit clock
-		st.replayTimerOn = false
-		p.armReplayTimer(st)
+	if st.replay.ack(uint32(c.U[slotSeq])) > 0 {
+		st.replay.restart()
 	}
 	c.Drop() // consumed
-}
-
-// recordReplay retains one just-emitted downstream packet for
-// retransmission and arms the timer. The frame is copied: the emitted
-// original is owned by the fabric once transmitted.
-func (p *Program) recordReplay(st *treeState, port int, frame []byte) {
-	st.replay = append(st.replay, replayPkt{
-		port: port, class: st.cfg.DataClass, frame: append([]byte(nil), frame...)})
-	p.armReplayTimer(st)
-}
-
-// replayFull reports whether the bounded replay buffer has no room for
-// another emission — the flush loop's backpressure signal.
-func (p *Program) replayFull(st *treeState) bool {
-	return st.cfg.RootReplay > 0 && len(st.replay) >= st.cfg.RootReplay
-}
-
-func (p *Program) armReplayTimer(st *treeState) {
-	if st.replayTimerOn || len(st.replay) == 0 {
-		return
-	}
-	st.replayTimerOn = true
-	gen := st.replayGen
-	p.sw.After(netsim.Duration(st.cfg.RootRTO), func() { p.onReplayTimer(st, gen) })
-}
-
-// onReplayTimer is the go-back-N retransmission path for the
-// switch→reducer hop: everything unacknowledged is re-injected. There is
-// no give-up bound — job-level recovery owns liveness decisions; the
-// caller's event budget bounds pathological cases.
-func (p *Program) onReplayTimer(st *treeState, gen int) {
-	if gen != st.replayGen {
-		// Superseded: an ACK already restarted the retransmit clock and a
-		// newer timer chain owns replayTimerOn — clearing it here would
-		// let a duplicate chain be armed alongside that one.
-		return
-	}
-	st.replayTimerOn = false
-	if len(st.replay) == 0 {
-		return
-	}
-	if p.trees[st.cfg.TreeID] != st {
-		return // tree torn down (or switch crashed) since arming
-	}
-	for _, pkt := range st.replay {
-		p.sw.InjectClass(pkt.port, pkt.class, append([]byte(nil), pkt.frame...))
-		st.Stats.RootRetransmissions++
-	}
-	p.armReplayTimer(st)
 }
 
 // epochNewer reports whether a is ahead of b in mod-256 arithmetic.
@@ -983,7 +932,7 @@ func (p *Program) handleEnd(c *dataplane.Ctx, st *treeState) {
 // spillover leftovers first, then register contents via the index stack,
 // then a terminal END downstream.
 func (p *Program) flushPass(c *dataplane.Ctx, st *treeState) {
-	if p.replayFull(st) {
+	if st.cfg.RootReplay > 0 && st.replay.full() {
 		// Root-replay backpressure: every emission is retained until the
 		// collector acknowledges it, so a full buffer pauses the flush
 		// (stall, not recirculate: waiting on a round trip costs no
@@ -1055,10 +1004,12 @@ func (p *Program) emitDaiet(c *dataplane.Ctx, st *treeState, buf *wire.Buffer,
 	frame := wire.BuildDaietFrame(buf, hdr, uint32(p.sw.ID()), st.cfg.TreeID, wire.UDPPortDaiet)
 	c.EmitClass(st.cfg.OutPort, st.cfg.DataClass, frame)
 	if st.cfg.RootReplay > 0 {
-		// Spill emissions during aggregation bypass the flush-loop
-		// backpressure check, so the buffer can transiently exceed its cap
-		// by in-flight spills; the flush loop stalls until ACKs bring it
-		// back under.
-		p.recordReplay(st, st.cfg.OutPort, frame)
+		// Retain a copy: the emitted original is owned by the fabric. Spill
+		// emissions during aggregation bypass the flush-loop backpressure
+		// check, so the buffer can transiently exceed its cap by in-flight
+		// spills; the flush loop stalls until ACKs bring it back under.
+		if st.replay.push(append([]byte(nil), frame...), true) {
+			st.replay.restart()
+		}
 	}
 }

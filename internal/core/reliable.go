@@ -21,17 +21,9 @@ import (
 //     ACK generation — which keeps aggregation idempotent under
 //     retransmission even for non-idempotent combiners like sum.
 //
-// Multi-hop reliability (protecting switch→switch and switch→reducer
-// flushes) needs switch-side retransmit buffers and is out of scope, as in
-// SwitchML-style systems where reliability remains host-driven.
-
-// TimerCarrier extends Carrier with timer scheduling, which retransmission
-// needs. transport.Host implements it over the simulator clock;
-// udprt.Client implements it with real timers.
-type TimerCarrier interface {
-	Carrier
-	After(d time.Duration, fn func())
-}
+// Switches protect the hops they emit on the same way, with a bounded
+// replay buffer per tree (TreeConfig.RootReplay). One go-back-N window
+// type (window.go) serves the worker's sender and every switch's replay.
 
 // ReliableConfig tunes a ReliableSender. The zero value gets defaults.
 type ReliableConfig struct {
@@ -85,18 +77,13 @@ type ReliableSender struct {
 	treeID   uint32
 	dst      netsim.NodeID
 
-	buf *wire.Buffer
-	n   int
+	buf wire.Buffer // the packet being filled; its backing array goes to win
+	n   int         // pairs in buf
 
-	nextSeq  uint32   // next sequence to assign
-	sndUna   uint32   // lowest unacknowledged sequence
-	payloads [][]byte // payloads[i] is seq sndUna+i; unsent if beyond sent
-	sent     uint32   // sequences [sndUna, sndUna+sent) are in flight
-	ended    bool
-	failed   error
-	timerGen int
-	timerOn  bool
-	retries  int
+	win     window // limit cfg.Window; payloads are sealed buffers, not copies
+	ended   bool
+	failed  error
+	retries int
 
 	// OnComplete fires once when the END is acknowledged.
 	OnComplete func()
@@ -121,7 +108,7 @@ func NewReliableSender(carrier TimerCarrier, treeID uint32, dst netsim.NodeID,
 		}
 	}
 	bc, _ := carrier.(BurstCarrier)
-	return &ReliableSender{
+	s := &ReliableSender{
 		carrier:  carrier,
 		bc:       bc,
 		cfg:      cfg.withDefaults(),
@@ -129,7 +116,10 @@ func NewReliableSender(carrier TimerCarrier, treeID uint32, dst netsim.NodeID,
 		maxPairs: maxPairs,
 		treeID:   treeID,
 		dst:      dst,
-	}, nil
+	}
+	s.win = window{limit: s.cfg.Window, rto: s.cfg.RTO, resend: s.retransmit}
+	s.win.timer = carrier.NewTimer(s.win.expire)
+	return s, nil
 }
 
 // Send appends one pair, packetizing as the buffer fills.
@@ -140,17 +130,18 @@ func (s *ReliableSender) Send(key []byte, value uint32) error {
 	if s.failed != nil {
 		return s.failed
 	}
-	if s.buf == nil {
-		s.buf = wire.NewBuffer(wire.DefaultHeadroom, s.maxPairs*s.geom.PairWidth())
-		s.n = 0
+	if s.n == 0 {
+		// A fresh backing array per packet: once sealed, the window owns it.
+		s.buf = *wire.NewBuffer(wire.DaietHeaderLen, s.maxPairs*s.geom.PairWidth())
 	}
-	if err := wire.AppendPair(s.buf, s.geom, key, value); err != nil {
+	if err := wire.AppendPair(&s.buf, s.geom, key, value); err != nil {
 		return err
 	}
 	s.n++
 	s.Stats.PairsSent++
 	if s.n >= s.maxPairs {
-		s.sealData()
+		s.seal(wire.TypeData)
+		s.Stats.DataPackets++
 	}
 	return nil
 }
@@ -162,67 +153,51 @@ func (s *ReliableSender) End() {
 		return
 	}
 	if s.n > 0 {
-		s.sealData()
+		s.seal(wire.TypeData)
+		s.Stats.DataPackets++
 	}
 	s.ended = true
-	buf := wire.NewBuffer(wire.DefaultHeadroom, 0)
-	hdr := wire.DaietHeader{
-		Type:   wire.TypeEnd,
-		TreeID: s.treeID,
-		Seq:    s.nextSeq,
-		Flags:  uint16(s.cfg.Epoch) << 8,
-	}
-	hdr.SerializeTo(buf)
-	s.enqueue(buf.Bytes())
+	s.buf = *wire.NewBuffer(wire.DaietHeaderLen, 0)
+	s.seal(wire.TypeEnd)
 	s.Stats.EndPackets++
 }
 
 // Done reports whether every packet, including the END, is acknowledged.
 func (s *ReliableSender) Done() bool {
-	return s.ended && len(s.payloads) == 0 && s.failed == nil
+	return s.ended && len(s.win.frames) == 0 && s.failed == nil
 }
 
 // Err returns the terminal error after a give-up, if any.
 func (s *ReliableSender) Err() error { return s.failed }
 
-// sealData finalizes the current buffer into a sequenced DATA payload.
-func (s *ReliableSender) sealData() {
+// seal prepends the sequenced header to the buffer's pairs, hands the
+// payload to the window and pumps.
+func (s *ReliableSender) seal(typ wire.DaietType) {
 	hdr := wire.DaietHeader{
-		Type:     wire.TypeData,
+		Type:     typ,
 		TreeID:   s.treeID,
-		Seq:      s.nextSeq,
+		Seq:      s.win.next(),
 		NumPairs: uint16(s.n),
 		Flags:    uint16(s.cfg.Epoch) << 8,
 	}
-	hdr.SerializeTo(s.buf)
-	s.enqueue(s.buf.Bytes())
-	s.Stats.DataPackets++
-	s.buf = nil
-	s.n = 0
+	hdr.SerializeTo(&s.buf)
+	first := s.win.push(s.buf.Bytes(), false)
+	s.buf, s.n = wire.Buffer{}, 0
+	s.pump(first)
 }
 
-// enqueue stores a payload under the next sequence number and pumps.
-func (s *ReliableSender) enqueue(payload []byte) {
-	// The payload slice is retained for retransmission; copy it out of any
-	// shared buffer.
-	s.payloads = append(s.payloads, append([]byte(nil), payload...))
-	s.nextSeq++
-	s.pump()
-}
-
-// pump transmits queued payloads within the window.
-func (s *ReliableSender) pump() {
+// pump transmits queued payloads within the window, then restarts the
+// clock when asked.
+func (s *ReliableSender) pump(restart bool) {
 	if s.failed != nil {
 		return
 	}
-	first := s.sent
-	for int(s.sent) < len(s.payloads) && int(s.sent) < s.cfg.Window {
-		s.sent++
+	if p := s.win.admit(); len(p) > 0 {
+		s.transmit(p)
 	}
-	if s.sent > first {
-		s.transmit(s.payloads[first:s.sent])
+	if restart {
+		s.win.restart()
 	}
-	s.armTimer()
 }
 
 // transmit hands payloads to the carrier, as one burst when supported —
@@ -238,70 +213,37 @@ func (s *ReliableSender) transmit(payloads [][]byte) {
 	s.Stats.Transmissions += uint64(len(payloads))
 }
 
-func (s *ReliableSender) armTimer() {
-	if s.timerOn || len(s.payloads) == 0 || s.failed != nil {
-		return
-	}
-	s.timerOn = true
-	gen := s.timerGen
-	s.carrier.After(s.cfg.RTO, func() { s.onTimer(gen) })
-}
-
-func (s *ReliableSender) onTimer(gen int) {
-	if gen != s.timerGen {
-		// Superseded: an ACK restarted the clock and a newer chain owns
-		// timerOn — clearing it here would let a duplicate chain be armed.
-		return
-	}
-	s.timerOn = false
-	if len(s.payloads) == 0 || s.failed != nil {
-		return
-	}
+// retransmit is the window's resend: go back N as one burst, or give up
+// once MaxRetries timeouts in a row made no progress.
+func (s *ReliableSender) retransmit(payloads [][]byte) bool {
 	s.retries++
 	if s.retries > s.cfg.MaxRetries {
 		s.failed = fmt.Errorf("core: tree %d: gave up after %d retries at seq %d",
-			s.treeID, s.cfg.MaxRetries, s.sndUna)
+			s.treeID, s.cfg.MaxRetries, s.win.base)
 		if s.OnError != nil {
 			s.OnError(s.failed)
 		}
-		return
+		return false
 	}
-	// Go-back-N: retransmit everything in flight, as one burst.
-	s.transmit(s.payloads[:s.sent])
-	s.Stats.Retransmissions += uint64(s.sent)
-	s.armTimer()
+	s.transmit(payloads)
+	s.Stats.Retransmissions += uint64(len(payloads))
+	return true
 }
 
 // HandleAck processes a cumulative acknowledgement: every sequence below
 // ackSeq is released.
 func (s *ReliableSender) HandleAck(ackSeq uint32) {
 	s.Stats.AcksReceived++
-	if s.failed != nil {
-		return
-	}
-	acked := int32(ackSeq - s.sndUna)
-	if acked <= 0 || int(acked) > len(s.payloads) {
-		return // stale or absurd ACK
-	}
-	s.payloads = s.payloads[acked:]
-	s.sndUna = ackSeq
-	if uint32(acked) >= s.sent {
-		s.sent = 0
-	} else {
-		s.sent -= uint32(acked)
+	if s.failed != nil || s.win.ack(ackSeq) == 0 {
+		return // given up, or a stale or absurd ACK
 	}
 	s.retries = 0
-	s.timerGen++
-	s.timerOn = false
-	if s.Done() {
-		if s.OnComplete != nil {
-			f := s.OnComplete
-			s.OnComplete = nil
-			f()
-		}
-		return
+	s.pump(true)
+	if s.Done() && s.OnComplete != nil {
+		f := s.OnComplete
+		s.OnComplete = nil
+		f()
 	}
-	s.pump()
 }
 
 // AckMux demultiplexes inbound DAIET traffic on a worker host: ACK packets

@@ -327,43 +327,57 @@ func indexOf(ids []netsim.NodeID, id netsim.NodeID) int {
 	return -1
 }
 
-// fakeClockCarrier is a TimerCarrier on a hand-advanced clock: it records
+// fakeClockCarrier is a TimerCarrier on a hand-advanced clock: it counts
 // every datagram and runs a timer only when advance passes its deadline.
 type fakeClockCarrier struct {
 	now    time.Duration
-	timers []fakeTimer
+	timers []*fakeTimer
 	sent   int
 }
 
 type fakeTimer struct {
-	at time.Duration
-	fn func()
+	c     *fakeClockCarrier
+	at    time.Duration
+	armed bool
+	fn    func()
+}
+
+func (t *fakeTimer) Reset(d time.Duration) bool {
+	was := t.armed
+	t.at, t.armed = t.c.now+d, true
+	return was
+}
+
+func (t *fakeTimer) Stop() bool {
+	was := t.armed
+	t.armed = false
+	return was
 }
 
 func (c *fakeClockCarrier) ID() netsim.NodeID { return 1 }
 
 func (c *fakeClockCarrier) SendUDP(netsim.NodeID, uint16, uint16, []byte) { c.sent++ }
 
-func (c *fakeClockCarrier) After(d time.Duration, fn func()) {
-	c.timers = append(c.timers, fakeTimer{at: c.now + d, fn: fn})
+func (c *fakeClockCarrier) NewTimer(fn func()) core.Timer {
+	t := &fakeTimer{c: c, fn: fn}
+	c.timers = append(c.timers, t)
+	return t
 }
 
 // advance moves the clock to t, running due timers in deadline order.
 func (c *fakeClockCarrier) advance(t time.Duration) {
 	for {
-		i := -1
-		for j, tm := range c.timers {
-			if tm.at <= t && (i < 0 || tm.at < c.timers[i].at) {
-				i = j
+		var due *fakeTimer
+		for _, tm := range c.timers {
+			if tm.armed && tm.at <= t && (due == nil || tm.at < due.at) {
+				due = tm
 			}
 		}
-		if i < 0 {
+		if due == nil {
 			break
 		}
-		tm := c.timers[i]
-		c.timers = append(c.timers[:i], c.timers[i+1:]...)
-		c.now = tm.at
-		tm.fn()
+		c.now, due.armed = due.at, false
+		due.fn()
 	}
 	c.now = t
 }

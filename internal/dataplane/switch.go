@@ -100,10 +100,13 @@ func (s *Switch) ResetBuffers() { s.nw.ResetPool(s.id) }
 // Down reports whether the switch is crashed.
 func (s *Switch) Down() bool { return s.down }
 
-// After schedules fn d ticks from the current virtual time — the
-// control-logic timer the replay-buffer retransmitter uses. Valid after
-// Attach.
+// After schedules fn d ticks from the current virtual time — the delay
+// of a recirculation or stall pass. Valid after Attach.
 func (s *Switch) After(d netsim.Time, fn func()) { s.nw.Eng.After(d, fn) }
+
+// NewTimer returns a stopped timer on the fabric clock that runs fn when
+// it expires — the replay buffer's retransmit clock. Valid after Attach.
+func (s *Switch) NewTimer(fn func()) *netsim.Timer { return s.nw.Eng.NewTimer(fn) }
 
 // Now returns the current virtual time.
 func (s *Switch) Now() netsim.Time { return s.nw.Now() }

@@ -97,10 +97,20 @@ func (h *Host) ephemeralPort() uint16 {
 	return p
 }
 
-// After schedules fn on the fabric's clock, satisfying core.TimerCarrier
-// for the reliability extension.
+// After schedules fn on the fabric's clock (tcplite's retransmit and
+// TIME_WAIT timers).
 func (h *Host) After(d time.Duration, fn func()) {
 	h.nw.Eng.After(netsim.Duration(d), fn)
+}
+
+// NewTimer returns a stopped timer on the fabric's clock that runs fn when
+// it expires, satisfying core.TimerCarrier for the reliability extension.
+// The result type spells out core.Timer, which transport cannot import.
+func (h *Host) NewTimer(fn func()) interface {
+	Reset(d time.Duration) bool
+	Stop() bool
+} {
+	return h.nw.Eng.NewTimer(fn)
 }
 
 // Now returns the current virtual time.

@@ -6,6 +6,7 @@ import (
 	"net"
 	"time"
 
+	"github.com/daiet/daiet/internal/core"
 	"github.com/daiet/daiet/internal/netsim"
 )
 
@@ -65,11 +66,14 @@ func (c *Client) ReadPayload(buf []byte, deadline time.Time) (int, error) {
 	return n, err
 }
 
-// After schedules fn on a real timer, satisfying core.TimerCarrier. Note
-// that over real sockets the caller is responsible for serializing sender
-// methods against timer callbacks (ReliableSender is not concurrency-safe).
-func (c *Client) After(d time.Duration, fn func()) {
-	time.AfterFunc(d, fn)
+// NewTimer returns a stopped real timer that runs fn when it expires,
+// satisfying core.TimerCarrier. Note that over real sockets the caller is
+// responsible for serializing sender methods against timer callbacks
+// (ReliableSender is not concurrency-safe).
+func (c *Client) NewTimer(fn func()) core.Timer {
+	t := time.AfterFunc(time.Hour, fn) // the time package has no stopped AfterFunc
+	t.Stop()
+	return t
 }
 
 // Close releases the socket.
