@@ -64,7 +64,7 @@ func (w *window) push(f []byte, inFlight bool) (wasEmpty bool) {
 // it added, for the owner to transmit.
 func (w *window) admit() [][]byte {
 	first := w.sent
-	w.sent = max(first, min(len(w.frames), w.limit))
+	w.sent = min(len(w.frames), w.limit)
 	return w.frames[first:w.sent]
 }
 
@@ -76,7 +76,7 @@ func (w *window) ack(seq uint32) int {
 	if n <= 0 || n > w.sent {
 		return 0
 	}
-	clear(w.frames[:n])
+	clear(w.frames[:n]) // let the GC have them before append reallocates
 	w.frames = w.frames[n:]
 	w.base = seq
 	w.sent -= n

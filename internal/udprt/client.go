@@ -76,6 +76,8 @@ func (c *Client) NewTimer(fn func()) core.Timer {
 	return t
 }
 
+var _ core.TimerCarrier = (*Client)(nil)
+
 // Close releases the socket.
 func (c *Client) Close() error { return c.conn.Close() }
 
