@@ -382,10 +382,12 @@ func (c *fakeClockCarrier) advance(t time.Duration) {
 	c.now = t
 }
 
-// TestReliableStaleTimerArmsNoSecondChain: a timer superseded by an ACK
-// fires dead and must not let the next enqueue arm a second live chain —
-// two chains would both resend the window every RTO. Kills the mutant that
-// clears the armed flag before the staleness check.
+// TestReliableStaleTimerArmsNoSecondChain: after an ACK restarts the
+// clock, the first arm's deadline passes with no resend and a later send
+// arms nothing more, so by 2rto the window has been resent exactly once.
+// It kills a second retransmit chain, which both a timer per arm whose
+// stale firing clears the armed flag and an ACK that fails to restart the
+// clock produce.
 func TestReliableStaleTimerArmsNoSecondChain(t *testing.T) {
 	const rto = 10 * time.Microsecond
 	c := &fakeClockCarrier{}
@@ -400,7 +402,7 @@ func TestReliableStaleTimerArmsNoSecondChain(t *testing.T) {
 	}
 	c.advance(rto / 2)
 	s.HandleAck(1)                                 // releases seq 0 and restarts the clock at rto/2
-	c.advance(rto)                                 // the first arm's deadline: that timer is stale
+	c.advance(rto)                                 // the first arm's deadline
 	if err := s.Send([]byte("c"), 1); err != nil { // seq 2
 		t.Fatal(err)
 	}
